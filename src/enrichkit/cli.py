@@ -109,9 +109,9 @@ def parse_spec(path) -> SpecFile:
 def _resolve_references(spec: SpecFile):
     for name, decl in spec.categories.items():
         _require_keys(name, decl, {"objects", "morphisms", "compose"}, {"identity"})
-        obs = set(decl["objects"])
+        obs = set(_names(name, decl, "objects"))
         mor_names = set()
-        for m in decl["morphisms"]:
+        for m in _entries(name, decl, "morphisms"):
             mname, d, c = _mor_decl(name, m)
             mor_names.add(mname)
             for o in (d, c):
@@ -119,7 +119,7 @@ def _resolve_references(spec: SpecFile):
                     raise UnresolvedReference(
                         f"category {name!r}: morphism {mname!r} references "
                         f"undeclared object {o!r}")
-        for entry in decl["compose"]:
+        for entry in _tuples(name, decl, "compose", 3):
             for mn in entry:
                 if mn not in mor_names:
                     raise UnresolvedReference(
@@ -138,13 +138,13 @@ def _resolve_references(spec: SpecFile):
         if decl["unit"] not in obs:
             raise UnresolvedReference(
                 f"monoidal {name!r}: undeclared unit object {decl['unit']!r}")
-        for a, b, ab in decl["tensor_ob"]:
+        for a, b, ab in _tuples(name, decl, "tensor_ob", 3):
             for o in (a, b, ab):
                 if o not in obs:
                     raise UnresolvedReference(
                         f"monoidal {name!r}: tensor_ob references undeclared "
                         f"object {o!r}")
-        for u, v, uv in decl["tensor_mor"]:
+        for u, v, uv in _tuples(name, decl, "tensor_mor", 3):
             for mn in (u, v, uv):
                 if mn not in mors:
                     raise UnresolvedReference(
@@ -157,12 +157,13 @@ def _resolve_references(spec: SpecFile):
             raise UnresolvedReference(f"enriched {name!r}: undeclared base {base!r}")
         carrier = spec.monoidal[base].get("carrier")
         base_obs, base_mors = _carrier_names(spec, carrier)
-        obs = set(decl["objects"])
-        for x, y, ob in decl["hom"]:
+        obs = set(_names(name, decl, "objects"))
+        for x, y, ob in _tuples(name, decl, "hom", 3, 2):
             if x not in obs or y not in obs:
                 raise UnresolvedReference(
                     f"enriched {name!r}: hom entry names undeclared object")
-            if base_obs is not None and ob not in base_obs:
+            if base_obs is not None and (not isinstance(ob, str)
+                                         or ob not in base_obs):
                 raise UnresolvedReference(
                     f"enriched {name!r}: hom entry names undeclared base "
                     f"object {ob!r}")
@@ -170,11 +171,12 @@ def _resolve_references(spec: SpecFile):
                 raise SchemaViolation(
                     f"enriched {name!r}: hom over a finite-sets base must "
                     f"give a non-negative cardinality, got {ob!r}")
-        for x, mor in decl["unit"]:
+        for x, mor in _tuples(name, decl, "unit", 2, 1):
             if x not in obs:
                 raise UnresolvedReference(
                     f"enriched {name!r}: unit entry names undeclared object {x!r}")
-            if base_mors is not None and mor not in base_mors:
+            if base_mors is not None and (not isinstance(mor, str)
+                                          or mor not in base_mors):
                 raise UnresolvedReference(
                     f"enriched {name!r}: unit entry names undeclared base "
                     f"morphism {mor!r}")
@@ -182,11 +184,12 @@ def _resolve_references(spec: SpecFile):
                 raise SchemaViolation(
                     f"enriched {name!r}: unit over a finite-sets base must "
                     f"be a function table")
-        for x, y, z, mor in decl["comp"]:
+        for x, y, z, mor in _tuples(name, decl, "comp", 4, 3):
             if x not in obs or y not in obs or z not in obs:
                 raise UnresolvedReference(
                     f"enriched {name!r}: comp entry names undeclared object")
-            if base_mors is not None and mor not in base_mors:
+            if base_mors is not None and (not isinstance(mor, str)
+                                          or mor not in base_mors):
                 raise UnresolvedReference(
                     f"enriched {name!r}: comp entry names undeclared base "
                     f"morphism {mor!r}")
@@ -221,6 +224,33 @@ def _resolve_references(spec: SpecFile):
                 f"weight {name!r}: undeclared source {decl.get('source')!r}")
         _check_finset_valued(name, decl, "values", "action",
                              spec.categories[decl["source"]]["objects"])
+
+
+def _entries(name, decl, key):
+    value = decl[key]
+    if not isinstance(value, list):
+        raise SchemaViolation(f"declaration {name!r}: {key} must be a list")
+    return value
+
+
+def _names(name, decl, key):
+    value = _entries(name, decl, key)
+    if not all(isinstance(v, str) for v in value):
+        raise SchemaViolation(f"declaration {name!r}: {key} must be a list of names")
+    return value
+
+
+def _tuples(name, decl, key, arity, n_names=None):
+    """decl[key] as a list of arity-element lists whose first n_names
+    (default: all) elements are names."""
+    value = _entries(name, decl, key)
+    n_names = arity if n_names is None else n_names
+    for entry in value:
+        if (not isinstance(entry, list) or len(entry) != arity
+                or not all(isinstance(v, str) for v in entry[:n_names])):
+            raise SchemaViolation(
+                f"declaration {name!r}: malformed {key} entry {entry!r}")
+    return value
 
 
 def _int_table(value):

@@ -24,7 +24,11 @@ from .monoidal import finset_product_monoidal, opposite_monoidal
 
 
 class MCat:
-    """A validated enriched category.  Construct via ``validate_mcat``."""
+    """A validated enriched category.  Construct via ``validate_mcat``.
+
+    Equality and hash are structural (the name is ignored); the hash is
+    computed once here because presheaf keys hash their source.
+    """
 
     def __init__(self, base, objects, hom, unit, comp, name=""):
         self.base = base
@@ -33,6 +37,9 @@ class MCat:
         self._unit = dict(unit)
         self._comp = dict(comp)
         self.name = name
+        self._hash = hash((base, self.objects, frozenset(self._hom.items()),
+                           frozenset(self._unit.items()),
+                           frozenset(self._comp.items())))
 
     @property
     def n_objects(self):
@@ -57,6 +64,9 @@ class MCat:
         return (self.base == other.base and self.objects == other.objects
                 and self._hom == other._hom and self._unit == other._unit
                 and self._comp == other._comp)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"MCat({self.name!r}, {self.n_objects} objects over {self.base!r})"

@@ -45,6 +45,7 @@ class FinCat:
         for m in range(len(self.mor_names)):
             hom.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._by_dom = _group_by_dom(len(self.objects), self.mor_dom)
 
     @property
     def n_objects(self):
@@ -87,6 +88,10 @@ class FinCat:
         """g after f; the pair must be composable."""
         return self._compose[(g, f)]
 
+    def compose_all(self, gs, fs):
+        """[g∘f for g, f in zip(gs, fs)]; every pair must be composable."""
+        return list(map(self._compose.__getitem__, zip(gs, fs)))
+
     def hom(self, x, y):
         return self._hom.get((x, y), ())
 
@@ -105,9 +110,8 @@ class FinCat:
     def composable_pairs(self):
         """All (g, f) with dom(g) = cod(f), in (f, g) scan order."""
         for f in range(self.n_morphisms):
-            for g in range(self.n_morphisms):
-                if self.mor_dom[g] == self.mor_cod[f]:
-                    yield g, f
+            for g in self._by_dom[self.mor_cod[f]]:
+                yield g, f
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -183,9 +187,10 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
         comp[(gi, fi)] = ri
 
     # Totality before anything that reads the table.
+    by_dom = _group_by_dom(len(objects), mor_dom)
     for f in range(len(mor_names)):
-        for g in range(len(mor_names)):
-            if mor_dom[g] == mor_cod[f] and (g, f) not in comp:
+        for g in by_dom[mor_cod[f]]:
+            if (g, f) not in comp:
                 raise MissingComposite(
                     f"no composite for ({mor_names[g]!r}, {mor_names[f]!r})",
                     witness={"g": mor_names[g], "f": mor_names[f]})
@@ -222,14 +227,18 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                 f"{mor_names[f]!r}∘id differs from {mor_names[f]!r}",
                 witness={"morphism": mor_names[f], "side": "right"})
 
-    # Associativity over every composable triple, (f, g, h) scan order.
-    by_dom = {}
-    for m in range(len(mor_names)):
-        by_dom.setdefault(mor_dom[m], []).append(m)
+    # Associativity over every composable triple, (f, g, h) scan order.  Per
+    # composable pair the row h∘(g∘f) over every h out of cod g is compared
+    # at once with the row (h∘g)∘f; a differing row is rescanned to name the
+    # first failing h.
+    post = [[comp[(h, m)] for h in by_dom[mor_cod[m]]]
+            for m in range(len(mor_names))]
     for f in range(len(mor_names)):
-        for g in by_dom.get(mor_cod[f], ()):
-            gf = comp[(g, f)]
-            for h in by_dom.get(mor_cod[g], ()):
+        pre = {x: comp[(x, f)] for x in by_dom[mor_cod[f]]}
+        for g, gf in pre.items():
+            if post[gf] == list(map(pre.__getitem__, post[g])):
+                continue
+            for h in by_dom[mor_cod[g]]:
                 if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                     raise AssociativityViolation(
                         f"(h∘g)∘f ≠ h∘(g∘f) for h={mor_names[h]!r}, "
@@ -238,6 +247,45 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                                  "f": mor_names[f]})
 
     return FinCat(name, objects, mor_names, mor_dom, mor_cod, ident, comp)
+
+
+def component_category(n_objects, morphisms, identities, carrier: FinCat,
+                       obj_prefix, mor_prefix, name, caps: Caps = DEFAULT_CAPS) -> FinCat:
+    """The validated category of component tuples: objects 0..n_objects-1,
+    morphisms families of carrier morphisms composed componentwise.
+
+    morphisms:  (source index, target index, component tuple) per morphism,
+                each listed once.
+    identities: the identity component tuple of each object.
+    Objects and morphisms are named by prefix and index, so reports on the
+    result are deterministic.
+    """
+    obj_names = [f"{obj_prefix}{i}" for i in range(n_objects)]
+    mor_names = [f"{mor_prefix}{k}" for k in range(len(morphisms))]
+    lookup = {m: k for k, m in enumerate(morphisms)}
+    identity = {obj_names[i]: mor_names[lookup[(i, i, idc)]]
+                for i, idc in enumerate(identities)}
+    into = [[] for _ in range(n_objects)]
+    for k, (_, j, _) in enumerate(morphisms):
+        into[j].append(k)
+    compose = []
+    for k2, (i2, j2, c2) in enumerate(morphisms):
+        for k1 in into[i2]:
+            i1, _, c1 = morphisms[k1]
+            gf = lookup[(i1, j2, tuple(carrier.compose_all(c2, c1)))]
+            compose.append((mor_names[k2], mor_names[k1], mor_names[gf]))
+    mor_decls = [(mor_names[k], obj_names[i], obj_names[j])
+                 for k, (i, j, _) in enumerate(morphisms)]
+    return validate_fincat(obj_names, mor_decls, compose, identity,
+                           name=name, caps=caps)
+
+
+def _group_by_dom(n_objects, mor_dom):
+    """Per object, the morphisms out of it in declaration order."""
+    by_dom = [[] for _ in range(n_objects)]
+    for m, d in enumerate(mor_dom):
+        by_dom[d].append(m)
+    return tuple(tuple(ms) for ms in by_dom)
 
 
 def _infer_identities(objects, mor_names, mor_dom, mor_cod, comp):

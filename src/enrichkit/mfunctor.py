@@ -24,7 +24,7 @@ from .errors import (
     TypeMismatch,
     UnitActionViolation,
 )
-from .fincat import FinCat, FinFunctor, fin_functor, validate_fincat
+from .fincat import FinCat, FinFunctor, component_category, fin_functor
 from .search import backtrack, guard_space, search_space
 
 
@@ -128,34 +128,6 @@ def validate_mfun_tt(source, target, functor: FinFunctor, sigma,
                                  "a": A.obj_name(a)})
 
     return MFunTT(source, target, functor, sigma)
-
-
-def check_mfun_tt_mor(f: MFunTT, g: MFunTT, components):
-    """Naturality of the underlying transformation plus compatibility with
-    the structure isomorphisms.  Returns a list of failure witnesses."""
-    base = f.source.base
-    A, B = f.source.carrier, f.target.carrier
-    fails = []
-    for x in range(A.n_objects):
-        c = components[x]
-        if B.dom(c) != f.functor.ob_map[x] or B.cod(c) != g.functor.ob_map[x]:
-            fails.append({"a": A.obj_name(x), "kind": "ill-typed"})
-    if fails:
-        return fails
-    for h in range(A.n_morphisms):
-        a, ap = A.dom(h), A.cod(h)
-        if (B.compose(components[ap], f.functor.mor_map[h])
-                != B.compose(g.functor.mor_map[h], components[a])):
-            fails.append({"h": A.mor_name(h), "kind": "naturality"})
-    for m in base.objects():
-        for a in range(A.n_objects):
-            lhs = B.compose(g.sigma[(m, a)], components[f.source.act_ob(m, a)])
-            rhs = B.compose(f.target.act_mor(base.id_of(m), components[a]),
-                            f.sigma[(m, a)])
-            if lhs != rhs:
-                fails.append({"m": base.obj_name(m), "a": A.obj_name(a),
-                              "kind": "structure"})
-    return fails
 
 
 def validate_mfun_et(source, target, ob_map, phi, name="",
@@ -323,7 +295,10 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
             for comps in _mor_assignments(f, g, caps):
                 mors.append(MFunMor(i, j, comps))
 
-    fincat = _functor_category_fincat(source, target, functors, mors, caps)
+    fincat = component_category(
+        len(functors), [(m.source_index, m.target_index, m.components) for m in mors],
+        [tuple(target.id_of(v) for v in f.ob_map) for f in functors],
+        target.carrier, "G", "t", "FunCat", caps)
     return MFunCategory(source, target, functors, mors, fincat)
 
 
@@ -347,29 +322,6 @@ def _mor_assignments(f: MFunET, g: MFunET, caps):
             constraints.append(({x, y}, square))
     for asg in backtrack(slots, cands, constraints):
         yield tuple(asg[x] for x in slots)
-
-
-def _functor_category_fincat(source, target, functors, mors, caps):
-    obj_names = [f"G{i}" for i in range(len(functors))]
-    mor_decls = [(f"t{k}", f"G{m.source_index}", f"G{m.target_index}")
-                 for k, m in enumerate(mors)]
-    index = {(m.source_index, m.target_index, m.components): k
-             for k, m in enumerate(mors)}
-    identity = {}
-    for i, f in enumerate(functors):
-        idc = tuple(target.id_of(v) for v in f.ob_map)
-        identity[f"G{i}"] = f"t{index[(i, i, idc)]}"
-    compose = []
-    for k2, m2 in enumerate(mors):
-        for k1, m1 in enumerate(mors):
-            if m1.target_index != m2.source_index:
-                continue
-            comp = tuple(target.compose(c2, c1)
-                         for c1, c2 in zip(m1.components, m2.components))
-            compose.append((f"t{k2}", f"t{k1}",
-                            f"t{index[(m1.source_index, m2.target_index, comp)]}"))
-    return validate_fincat(obj_names, mor_decls, compose, identity,
-                           name="FunCat", caps=caps)
 
 
 def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):

@@ -28,18 +28,22 @@ from .enriched import MCat
 from .mfunctor import MFunET, validate_mfun_et
 from .search import backtrack, guard_space, search_space
 from .tensored import base_as_module, validate_module
-from .fincat import validate_fincat
+from .fincat import component_category
 
 
 class Presheaf:
     """values: base object per source object; action: {(x, y): base morphism
-    values[y] ⊗ hom(x,y) -> values[x]}.  Construct via validate_presheaf."""
+    values[y] ⊗ hom(x,y) -> values[x]}.  Construct via validate_presheaf.
+
+    Equality is structural, the source included, so presheaves built on
+    equal but distinct source objects are interchangeable."""
 
     def __init__(self, source: MCat, values, action):
         self.source = source
         self.values = tuple(values)
         self.action = dict(action)
-        self._key = (id(source), self.values, tuple(sorted(self.action.items())))
+        self._key = (source, self.values, tuple(sorted(self.action.items())))
+        self._hash = hash(self._key)
 
     def value(self, x):
         return self.values[x]
@@ -50,7 +54,7 @@ class Presheaf:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Presheaf({self.values!r})"
@@ -221,9 +225,11 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
         for (x, y) in pairs:
             cands[(x, y)] = list(base.hom(
                 base.tensor_ob(values[y], source.hom(x, y)), values[x]))
-        total += max(search_space(pairs, cands), 1)
+        space = search_space(pairs, cands)
+        total += max(space, 1)
         guard_space(total, caps, "presheaf action-map")
-        plans.append((values, cands))
+        if space:
+            plans.append((values, cands))
 
     presheaves = []
     for values, cands in plans:
@@ -252,9 +258,10 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
             presheaves.append(Presheaf(source, values, action))
 
     morphisms = []
+    mor_indices = []
     slots = list(range(n))
-    for f in presheaves:
-        for g in presheaves:
+    for i, f in enumerate(presheaves):
+        for j, g in enumerate(presheaves):
             mcands = {x: list(base.hom(f.values[x], g.values[x])) for x in slots}
             constraints = []
             for x in range(n):
@@ -268,35 +275,15 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
 
                     constraints.append(({x, y}, square))
             for asg in backtrack(slots, mcands, constraints):
-                morphisms.append(PresheafMor(f, g, tuple(asg[x] for x in slots)))
+                comps = tuple(asg[x] for x in slots)
+                morphisms.append(PresheafMor(f, g, comps))
+                mor_indices.append((i, j, comps))
 
-    fincat = _presheaf_fincat(source, presheaves, morphisms, caps)
+    fincat = component_category(
+        len(presheaves), mor_indices,
+        [tuple(base.id_of(v) for v in p.values) for p in presheaves],
+        base.carrier, "F", "p", f"P({source.name})", caps)
     return PresheafCategory(source, presheaves, morphisms, fincat, caps)
-
-
-def _presheaf_fincat(source, presheaves, morphisms, caps):
-    base = source.base
-    index = {p: i for i, p in enumerate(presheaves)}
-    obj_names = [f"F{i}" for i in range(len(presheaves))]
-    mor_decls = [(f"p{k}", f"F{index[m.source]}", f"F{index[m.target]}")
-                 for k, m in enumerate(morphisms)]
-    mor_lookup = {(index[m.source], index[m.target], m.components): k
-                  for k, m in enumerate(morphisms)}
-    identity = {}
-    for i, p in enumerate(presheaves):
-        idc = tuple(base.id_of(v) for v in p.values)
-        identity[f"F{i}"] = f"p{mor_lookup[(i, i, idc)]}"
-    compose = []
-    for k2, m2 in enumerate(morphisms):
-        for k1, m1 in enumerate(morphisms):
-            if m1.target != m2.source:
-                continue
-            comp = tuple(base.compose(c2, c1)
-                         for c1, c2 in zip(m1.components, m2.components))
-            compose.append((f"p{k2}", f"p{k1}",
-                            f"p{mor_lookup[(index[m1.source], index[m2.target], comp)]}"))
-    return validate_fincat(obj_names, mor_decls, compose, identity,
-                           name=f"P({source.name})", caps=caps)
 
 
 def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:

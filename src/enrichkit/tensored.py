@@ -169,9 +169,21 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="",
                     "action of identities is not the identity",
                     witness={"m": base.obj_name(m), "b": carrier.obj_name(b)})
 
-    base_pairs = list(base.carrier.composable_pairs())
+    # Interchange over (u, u') x (h, h') composable pairs, in that scan order.
+    # Per base pair the row over every carrier pair is compared at once; a
+    # differing row is rescanned to name the first failing cell.  The typing
+    # check above makes every composite looked up here exist.
+    act = [[amor[(u, h)] for h in range(mc)] for u in range(mb)]
     carr_pairs = list(carrier.composable_pairs())
-    for u, up in base_pairs:
+    hs = [h for h, _ in carr_pairs]
+    hps = [hp for _, hp in carr_pairs]
+    h_hps = carrier.compose_all(hs, hps)
+    for u, up in base.carrier.composable_pairs():
+        lhs = list(map(act[base.compose(u, up)].__getitem__, h_hps))
+        rhs = carrier.compose_all(map(act[u].__getitem__, hs),
+                                  map(act[up].__getitem__, hps))
+        if lhs == rhs:
+            continue
         for h, hp in carr_pairs:
             lhs = amor[(base.compose(u, up), carrier.compose(h, hp))]
             rhs = carrier.compose(amor[(u, h)], amor[(up, hp)])
@@ -181,8 +193,11 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="",
                     witness={"u": base.mor_name(u), "u'": base.mor_name(up),
                              "h": carrier.mor_name(h), "h'": carrier.mor_name(hp)})
 
+    # Module law on morphisms, row by row over h as above.
     for u in range(mb):
         for v in range(mb):
+            if list(map(act[u].__getitem__, act[v])) == act[base.tensor_mor(u, v)]:
+                continue
             for h in range(mc):
                 lhs = amor[(u, amor[(v, h)])]
                 rhs = amor[(base.tensor_mor(u, v), h)]

@@ -193,3 +193,41 @@ def test_weight_schema_violations(tmp_path):
     f.write_text(json.dumps(raw))
     with pytest.raises(SchemaViolation):
         parse_spec(f)  # missing cardinality for q
+
+
+@pytest.mark.parametrize("entry", [["r0", "r0"], ["r0", "r0", ["r0"]]])
+def test_malformed_compose_entry_exits_2(tmp_path, capsys, entry):
+    raw = json.loads((SPECS / "corrupted_assoc.json").read_text())
+    raw["categories"]["c3bad"]["compose"][0] = entry
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+    assert main(["--spec", str(f), "--check", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, name, key", [
+    ("monoidal", "bool_and", "tensor_ob"), ("monoidal", "bool_and", "tensor_mor"),
+    ("enriched", "chain2", "hom"), ("enriched", "chain2", "unit"),
+    ("enriched", "chain2", "comp"),
+])
+def test_short_table_entries_are_schema_violations(tmp_path, section, name, key):
+    raw = json.loads((SPECS / "boolean_chain.json").read_text())
+    raw[section][name][key][0] = raw[section][name][key][0][:-1]
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+
+
+def test_objects_given_as_string_is_schema_violation(tmp_path, capsys):
+    raw = json.loads((SPECS / "corrupted_assoc.json").read_text())
+    raw["categories"]["c3bad"]["objects"] = "*"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+    assert main(["--spec", str(f), "--check", "validate"]) == 2
+    capsys.readouterr()

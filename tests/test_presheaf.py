@@ -215,9 +215,20 @@ def test_missing_presheaf_lookup_is_internal_error():
     A = boolean_chain_mcat()
     pscat = enumerate_presheaves(A)
     with pytest.raises(InternalError):
-        # a presheaf over a *different* source instance is never enumerated
-        A2 = boolean_chain_mcat()
-        pscat.index_of(yoneda_presheaf(A2, 0))
+        # a presheaf over a structurally different source is never enumerated
+        pscat.index_of(yoneda_presheaf(opposite_mcat(A), 0))
+
+
+def test_presheaf_lookup_is_structural_across_op_op():
+    A = boolean_chain_mcat()
+    pscat = enumerate_presheaves(A)
+    AA = opposite_mcat(opposite_mcat(A))
+    assert AA is not A and AA == A and hash(AA) == hash(A)
+    for z in range(A.n_objects):
+        assert pscat.index_of(yoneda_presheaf(AA, z)) == \
+            pscat.index_of(yoneda_presheaf(A, z))
+    assert pscat.index_of(yoneda_presheaf(boolean_chain_mcat(), 0)) == \
+        pscat.index_of(yoneda_presheaf(A, 0))
 
 
 def test_yoneda_lemma_random_instances():
