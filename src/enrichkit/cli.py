@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import finset
 from .caps import DEFAULT_CAPS, scaled
@@ -205,6 +205,8 @@ def _resolve_references(spec: SpecFile):
             if decl.get("carrier") not in spec.categories:
                 raise UnresolvedReference(
                     f"module {name!r}: undeclared carrier {decl.get('carrier')!r}")
+            _tuples(name, decl, "act_ob", 3)
+            _tuples(name, decl, "act_mor", 3)
     for name, decl in spec.mfunctors.items():
         if decl.get("source") not in spec.categories:
             raise UnresolvedReference(
@@ -218,6 +220,8 @@ def _resolve_references(spec: SpecFile):
         if decl.get("source") not in spec.enriched:
             raise UnresolvedReference(
                 f"presheaf {name!r}: undeclared source {decl.get('source')!r}")
+        _tuples(name, decl, "values", 2)
+        _tuples(name, decl, "action", 3)
     for name, decl in spec.weights.items():
         if decl.get("source") not in spec.categories:
             raise UnresolvedReference(
@@ -227,7 +231,7 @@ def _resolve_references(spec: SpecFile):
 
 
 def _entries(name, decl, key):
-    value = decl[key]
+    value = decl.get(key)
     if not isinstance(value, list):
         raise SchemaViolation(f"declaration {name!r}: {key} must be a list")
     return value
@@ -722,7 +726,9 @@ def _cmd_fuzz(report, builder, seed, caps):
         {"note": "experiment: no pass/fail threshold",
          "square_only_candidates": unit_totals[0],
          "unit_law_violations": unit_totals[1],
-         "mcat_acceptance_rate": round(sampler.mcat_stats.acceptance_rate, 4)}))
+         "mcat_acceptance_rate": round(sampler.mcat_stats.acceptance_rate, 4),
+         "presheaf_samples": asdict(sampler.presheaf_stats),
+         "diagram_samples": asdict(sampler.diagram_stats)}))
 
 
 def main(argv=None):

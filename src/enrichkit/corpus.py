@@ -6,10 +6,11 @@ The shipped instances are the ones the acceptance checks name: the Boolean
 small Z_k one-object bases for mutation tests, and the idempotent-target
 instance that separates the compatibility square from the unit-action law.
 
-Random generation is rejection sampling: raw tables are drawn uniformly
-from the type-correct choices and kept only when the validator accepts, so
-the generator cannot emit an invalid structure by construction.  Acceptance
-rates are *reported*, never assumed.
+Random bases and enriched categories are rejection sampled from uniformly
+drawn type-correct tables.  Random presheaves and diagrams are drawn by
+randomized backtracking over the shared law tables (``presheaf_laws``,
+``mfun_et_laws``).  Every emitted structure passes its validator; attempts,
+acceptances and fallbacks are *reported*, never assumed.
 """
 
 import random
@@ -29,14 +30,15 @@ from .fincat import (
     walking_arrow,
 )
 from .finset import SkMap, SkSet
-from .mfunctor import MFunET, validate_mfun_et
+from .mfunctor import MFunET, mfun_et_cands, mfun_et_laws, validate_mfun_et
 from .monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
 )
-from .presheaf import Presheaf, validate_presheaf
+from .presheaf import Presheaf, presheaf_cands, presheaf_laws, validate_presheaf
+from .search import backtrack
 from .tensored import validate_module
 from .wcolim import FinSetModule
 
@@ -181,14 +183,10 @@ def swap_instance(caps: Caps = DEFAULT_CAPS):
 
 
 def terminal_weight(A: MCat) -> Presheaf:
-    """The weight with every value a singleton."""
-    n = A.n_objects
-    values = [SkSet(1)] * n
-    action = {}
-    for x in range(n):
-        for y in range(n):
-            dom = finset.product(SkSet(1), A.hom(x, y))
-            action[(x, y)] = SkMap(dom, SkSet(1), tuple(0 for _ in range(dom.card)))
+    """The weight with every value a singleton: each action is the one map
+    into a point."""
+    values = [SkSet(1)] * A.n_objects
+    action = {slot: maps[0] for slot, maps in presheaf_cands(A, values).items()}
     return validate_presheaf(A, values, action)
 
 
@@ -207,6 +205,7 @@ def shipped_yoneda_corpus():
 class SampleStats:
     attempts: int = 0
     accepted: int = 0
+    fallbacks: int = 0
 
     @property
     def acceptance_rate(self):
@@ -222,6 +221,7 @@ class CorpusSampler:
         self.caps = caps
         self.mcat_stats = SampleStats()
         self.presheaf_stats = SampleStats()
+        self.diagram_stats = SampleStats()
 
     # -- monoidal bases
     def random_monoidal(self):
@@ -332,134 +332,50 @@ class CorpusSampler:
         return loop_cat(3)
 
     def random_presheaf(self, A: MCat, max_card=3):
-        """Random functor data by randomized backtracking over action
-        tables; value cards drawn uniformly, retried until valid."""
-        n = A.n_objects
-        for _ in range(64):
-            self.presheaf_stats.attempts += 1
-            values = [SkSet(self.rng.randrange(1, max_card + 1)) for _ in range(n)]
-            action = self._random_presheaf_actions(A, values)
-            if action is not None:
-                self.presheaf_stats.accepted += 1
-                return validate_presheaf(A, values, action)
-        self.presheaf_stats.accepted += 1
-        return terminal_weight(A)
+        """Random presheaf; the terminal weight when no draw succeeds."""
+        def problem(values):
+            unit, compat = presheaf_laws(A, values)
+            return presheaf_cands(A, values), unit + compat
 
-    def _random_presheaf_actions(self, A, values):
-        n = A.n_objects
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        assignment = {}
-
-        def consistent(px, py):
-            a = assignment
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        keys = {(x, y), (y, z), (x, z)}
-                        if not keys <= set(a):
-                            continue
-                        base = A.base
-                        c1 = base.compose(a[(x, y)],
-                                          base.tensor_mor(a[(y, z)],
-                                                          base.id_of(A.hom(x, y))))
-                        c2 = base.compose(a[(x, z)],
-                                          base.tensor_mor(base.id_of(values[z]),
-                                                          A.comp(x, y, z)))
-                        if c1 != c2:
-                            return False
-            for x in range(n):
-                if (x, x) in a:
-                    base = A.base
-                    e = base.compose(a[(x, x)],
-                                     base.tensor_mor(base.id_of(values[x]),
-                                                     A.unit(x)))
-                    if e != base.id_of(values[x]):
-                        return False
-            return True
-
-        def rec(i):
-            if i == len(pairs):
-                return True
-            x, y = pairs[i]
-            dom = A.base.tensor_ob(values[y], A.hom(x, y))
-            cands = list(finset.all_maps(dom, values[x]))
-            self.rng.shuffle(cands)
-            for c in cands:
-                assignment[(x, y)] = c
-                if consistent(x, y) and rec(i + 1):
-                    return True
-            assignment.pop((x, y), None)
-            return False
-
-        if rec(0):
-            return dict(assignment)
-        return None
+        found = self._draw(A, max_card, problem, self.presheaf_stats)
+        if found is None:
+            return terminal_weight(A)
+        return validate_presheaf(A, *found)
 
     def random_diagram(self, A: MCat, max_card=3) -> MFunET:
-        """Random enriched-to-tensored functor into finite sets."""
+        """Random enriched-to-tensored functor into finite sets; when no
+        draw succeeds, the terminal diagram (each action the one map into a
+        point)."""
         B = FinSetModule(self.caps)
-        n = A.n_objects
-        for _ in range(64):
-            vals = [SkSet(self.rng.randrange(1, max_card + 1)) for _ in range(n)]
-            phi = self._random_diagram_actions(A, vals)
-            if phi is not None:
-                return validate_mfun_et(A, B, vals, phi, name="random-diagram",
-                                        caps=self.caps)
-        vals = [SkSet(1)] * n
-        phi = {}
-        for x in range(n):
-            for y in range(n):
-                dom = finset.product(A.hom(x, y), SkSet(1))
-                phi[(x, y)] = SkMap(dom, SkSet(1), tuple(0 for _ in range(dom.card)))
+
+        def problem(vals):
+            compat, unit = mfun_et_laws(A, B, vals)
+            return mfun_et_cands(A, B, vals), compat + unit
+
+        found = self._draw(A, max_card, problem, self.diagram_stats)
+        if found is not None:
+            return validate_mfun_et(A, B, *found, name="random-diagram",
+                                    caps=self.caps)
+        vals = [SkSet(1)] * A.n_objects
+        phi = {slot: maps[0] for slot, maps in mfun_et_cands(A, B, vals).items()}
         return validate_mfun_et(A, B, vals, phi, name="terminal-diagram",
                                 caps=self.caps)
 
-    def _random_diagram_actions(self, A, vals):
-        n = A.n_objects
-        base = A.base
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        assignment = {}
-
-        def consistent():
-            a = assignment
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        if not {(x, y), (y, z), (x, z)} <= set(a):
-                            continue
-                        lhs = finset.compose(
-                            a[(x, z)],
-                            finset.product_map(A.comp(x, y, z),
-                                               finset.identity(vals[x])))
-                        rhs = finset.compose(
-                            a[(y, z)],
-                            finset.product_map(finset.identity(A.hom(y, z)),
-                                               a[(x, y)]))
-                        if lhs != rhs:
-                            return False
-            for x in range(n):
-                if (x, x) in a:
-                    e = finset.compose(
-                        a[(x, x)],
-                        finset.product_map(A.unit(x), finset.identity(vals[x])))
-                    if e != finset.identity(vals[x]):
-                        return False
-            return True
-
-        def rec(i):
-            if i == len(pairs):
-                return True
-            x, y = pairs[i]
-            dom = finset.product(A.hom(x, y), vals[x])
-            cands = list(finset.all_maps(dom, vals[y]))
-            self.rng.shuffle(cands)
-            for c in cands:
-                assignment[(x, y)] = c
-                if consistent() and rec(i + 1):
-                    return True
-            assignment.pop((x, y), None)
-            return False
-
-        if rec(0):
-            return dict(assignment)
+    def _draw(self, A, max_card, problem, stats):
+        """Up to 64 attempts: value cards drawn uniformly in 1..max_card,
+        then the first solution of problem(values) = (candidates per slot,
+        law table), each slot's candidates shuffled once, in slot order.
+        Returns (values, actions), or None after counting a fallback."""
+        for _ in range(64):
+            stats.attempts += 1
+            values = [SkSet(self.rng.randrange(1, max_card + 1))
+                      for _ in range(A.n_objects)]
+            cands, laws = problem(values)
+            for slot_cands in cands.values():
+                self.rng.shuffle(slot_cands)
+            actions = next(backtrack(cands, laws), None)
+            if actions is not None:
+                stats.accepted += 1
+                return values, actions
+        stats.fallbacks += 1
         return None

@@ -48,6 +48,10 @@ class MCat:
     def obj_name(self, x):
         return self.objects[x]
 
+    def cell_names(self, cell):
+        """Witness dict {"x": ..., "y": ..., "z": ...} naming a law cell."""
+        return {k: self.objects[o] for k, o in zip("xyz", cell)}
+
     def hom(self, x, y):
         return self._hom[(x, y)]
 

@@ -9,7 +9,6 @@ reports are byte-identical across runs.
 """
 
 from dataclasses import dataclass
-import itertools
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     SizeBound,
     UnitViolation,
 )
+from .search import backtrack, bounded_plans, failures
 
 
 class FinCat:
@@ -341,13 +341,22 @@ def fin_functor(source: FinCat, target: FinCat, ob_map, mor_map) -> FinFunctor:
             raise FunctorLawViolation(
                 f"identity of {source.obj_name(x)!r} not preserved",
                 witness={"object": source.obj_name(x)})
-    for g, f in source.composable_pairs():
-        if mor_map[source.compose(g, f)] != target.compose(mor_map[g], mor_map[f]):
-            raise FunctorLawViolation(
-                f"composition not preserved on ({source.mor_name(g)!r}, "
-                f"{source.mor_name(f)!r})",
-                witness={"g": source.mor_name(g), "f": source.mor_name(f)})
+    for g, f in failures(functor_laws(source, target), mor_map):
+        g, f = source.mor_name(g), source.mor_name(f)
+        raise FunctorLawViolation(f"composition not preserved on ({g!r}, {f!r})",
+                                  witness={"g": g, "f": f})
     return FinFunctor(source, target, ob_map, mor_map)
+
+
+def functor_laws(source: FinCat, target: FinCat):
+    """Preservation of composition per composable pair (g, f), as a law
+    table over the morphism slots of a functor's mor_map."""
+    def law(F, cell):
+        g, f = cell
+        return F[source.compose(g, f)] == target.compose(F[g], F[f])
+
+    return [((g, f, source.compose(g, f)), law, (g, f))
+            for g, f in source.composable_pairs()]
 
 
 def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
@@ -361,45 +370,22 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
 def enumerate_functors(source: FinCat, target: FinCat,
                        caps: Caps = DEFAULT_CAPS):
     """The complete, duplicate-free list of functors source -> target,
-    in lexicographic order of (ob_map, mor_map)."""
-    n_ob_maps = target.n_objects ** source.n_objects if source.n_objects else 1
-    if n_ob_maps > caps.max_search:
-        raise SizeBound(f"{n_ob_maps} object maps exceeds cap {caps.max_search}")
-    free = [m for m in range(source.n_morphisms) if not source.is_identity(m)]
+    in lexicographic order of (ob_map, mor_map).
 
-    # First pass: raw search space, before enumerating anything.
-    total = 0
-    spaces = []
-    for ob_map in itertools.product(range(target.n_objects), repeat=source.n_objects):
-        space = 1
-        cands = []
-        for m in free:
-            c = target.hom(ob_map[source.dom(m)], ob_map[source.cod(m)])
-            cands.append(c)
-            space *= len(c)
-        total += max(space, 1)
-        if total > caps.max_search:
-            raise SizeBound(f"functor search space exceeds cap {caps.max_search}")
-        spaces.append((ob_map, cands))
+    The slots are the morphisms; an identity has its one candidate, the
+    identity of its image, so the choices are the other morphisms."""
+    def mor_cands(ob_map):
+        return {m: ([target.id_of(ob_map[source.dom(m)])] if source.is_identity(m)
+                    else target.hom(ob_map[source.dom(m)], ob_map[source.cod(m)]))
+                for m in range(source.n_morphisms)}
 
-    out = []
-    for ob_map, cands in spaces:
-        if any(not c for c in cands):
-            continue
-        for choice in itertools.product(*cands):
-            mor_map = [0] * source.n_morphisms
-            for x in range(source.n_objects):
-                mor_map[source.id_of(x)] = target.id_of(ob_map[x])
-            for m, fm in zip(free, choice):
-                mor_map[m] = fm
-            ok = True
-            for g, f in source.composable_pairs():
-                if mor_map[source.compose(g, f)] != target.compose(mor_map[g], mor_map[f]):
-                    ok = False
-                    break
-            if ok:
-                out.append(FinFunctor(source, target, ob_map, tuple(mor_map)))
-    return out
+    laws = functor_laws(source, target)
+    return [FinFunctor(source, target, ob_map,
+                       tuple(asg[m] for m in range(source.n_morphisms)))
+            for ob_map, cands in bounded_plans(range(target.n_objects),
+                                               source.n_objects, mor_cands,
+                                               caps, "functor")
+            for asg in backtrack(cands, laws)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ measured separately (see ``measure_unit_automatism``): in a strict finite
 model the compatibility square alone does not force it.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
@@ -25,7 +24,7 @@ from .errors import (
     UnitActionViolation,
 )
 from .fincat import FinCat, FinFunctor, component_category, fin_functor
-from .search import backtrack, guard_space, search_space
+from .search import backtrack, bounded_plans, failures, guard_space, search_space
 
 
 class MFunTT:
@@ -131,14 +130,13 @@ def validate_mfun_tt(source, target, functor: FinFunctor, sigma,
 
 
 def validate_mfun_et(source, target, ob_map, phi, name="",
-                     caps: Caps = DEFAULT_CAPS, check_unit=True) -> MFunET:
+                     caps: Caps = DEFAULT_CAPS) -> MFunET:
     """Check the compatibility square for all triples and the unit action.
 
     phi: {(x, y): target morphism act(hom(x,y), f(x)) -> f(y)}.
     """
     if source.base != target.base:
         raise ShapeMismatch("enriched source and tensored target disagree on the base")
-    base = source.base
     n = source.n_objects
     ob_map = tuple(ob_map)
     phi = dict(phi)
@@ -146,119 +144,98 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
     for x in range(n):
         for y in range(n):
             if (x, y) not in phi:
-                raise TypeMismatch(
-                    "missing action component",
-                    witness={"x": source.obj_name(x), "y": source.obj_name(y)})
+                raise TypeMismatch("missing action component",
+                                   witness=source.cell_names((x, y)))
             p = phi[(x, y)]
             want_dom = target.act_ob(source.hom(x, y), ob_map[x])
             if target.dom(p) != want_dom or target.cod(p) != ob_map[y]:
-                raise TypeMismatch(
-                    "action component has wrong dom/cod",
-                    witness={"x": source.obj_name(x), "y": source.obj_name(y)})
+                raise TypeMismatch("action component has wrong dom/cod",
+                                   witness=source.cell_names((x, y)))
 
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = target.compose(
-                    phi[(x, z)],
-                    target.act_mor(source.comp(x, y, z), target.id_of(ob_map[x])))
-                rhs = target.compose(
-                    phi[(y, z)],
-                    target.act_mor(base.id_of(source.hom(y, z)), phi[(x, y)]))
-                if lhs != rhs:
-                    raise CompatibilityViolation(
-                        "compatibility square fails",
-                        witness={"x": source.obj_name(x), "y": source.obj_name(y),
-                                 "z": source.obj_name(z)})
-
-    if check_unit:
-        for x in range(n):
-            e = target.compose(phi[(x, x)],
-                               target.act_mor(source.unit(x), target.id_of(ob_map[x])))
-            if e != target.id_of(ob_map[x]):
-                raise UnitActionViolation(
-                    "unit action is not the identity",
-                    witness={"x": source.obj_name(x)})
+    compat, unit = mfun_et_laws(source, target, ob_map)
+    for error, message, laws in (
+            (CompatibilityViolation, "compatibility square fails", compat),
+            (UnitActionViolation, "unit action is not the identity", unit)):
+        for cell in failures(laws, phi):
+            raise error(message, witness=source.cell_names(cell))
 
     return MFunET(source, target, ob_map, phi, name=name)
+
+
+def mfun_et_laws(source, target, ob_map):
+    """The laws of an enriched-to-tensored functor with object map ``ob_map``
+    (Kelly 1982, §1.2): the compatibility square per (x, y, z), then the
+    unit action per x.  Returned as two law tables (compat, unit) over the
+    action slots (x, y)."""
+    base = source.base
+    xs = range(source.n_objects)
+
+    def square(phi, cell):
+        x, y, z = cell
+        lhs = target.compose(
+            phi[(x, z)], target.act_mor(source.comp(x, y, z), target.id_of(ob_map[x])))
+        rhs = target.compose(
+            phi[(y, z)], target.act_mor(base.id_of(source.hom(y, z)), phi[(x, y)]))
+        return lhs == rhs
+
+    def unit_law(phi, cell):
+        x, = cell
+        e = target.compose(phi[(x, x)],
+                           target.act_mor(source.unit(x), target.id_of(ob_map[x])))
+        return e == target.id_of(ob_map[x])
+
+    return ([(((x, y), (y, z), (x, z)), square, (x, y, z))
+             for x in xs for y in xs for z in xs],
+            [(((x, x),), unit_law, (x,)) for x in xs])
+
+
+def mfun_square_laws(f: MFunET, g: MFunET):
+    """The morphism square g(x,y) ∘ act(id, t_x) = t_y ∘ f(x,y) per (x, y),
+    as a law table over the component slots x."""
+    source, target = f.source, f.target
+    base = source.base
+    xs = range(source.n_objects)
+
+    def square(t, cell):
+        x, y = cell
+        lhs = target.compose(g.phi[cell],
+                             target.act_mor(base.id_of(source.hom(x, y)), t[x]))
+        return lhs == target.compose(t[y], f.phi[cell])
+
+    return [((x, y), square, (x, y)) for x in xs for y in xs]
 
 
 def check_mfun_mor(f: MFunET, g: MFunET, components):
     """Compatibility of a component family with the two action structures.
     Returns a list of failure witnesses (empty = valid)."""
-    target = f.target
-    base = f.source.base
-    n = f.source.n_objects
-    fails = []
-    for x in range(n):
-        c = components[x]
-        if target.dom(c) != f.ob_map[x] or target.cod(c) != g.ob_map[x]:
-            fails.append({"x": f.source.obj_name(x), "kind": "ill-typed"})
-    if fails:
-        return fails
-    for x in range(n):
-        for y in range(n):
-            lhs = target.compose(
-                g.phi[(x, y)],
-                target.act_mor(base.id_of(f.source.hom(x, y)), components[x]))
-            rhs = target.compose(components[y], f.phi[(x, y)])
-            if lhs != rhs:
-                fails.append({"x": f.source.obj_name(x),
-                              "y": f.source.obj_name(y), "kind": "square"})
-    return fails
+    source, target = f.source, f.target
+    ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
+                 for x in range(source.n_objects)
+                 if (target.dom(components[x]) != f.ob_map[x]
+                     or target.cod(components[x]) != g.ob_map[x])]
+    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
+                         for cell in failures(mfun_square_laws(f, g), components)]
+
+
+def mfun_et_cands(source, target, ob_map):
+    """The type-correct action maps per slot (x, y), in slot order: target
+    morphisms act(hom(x,y), ob_map[x]) -> ob_map[y]."""
+    n = source.n_objects
+    return {(x, y): list(target.hom(target.act_ob(source.hom(x, y), ob_map[x]),
+                                    ob_map[y]))
+            for x in range(n) for y in range(n)}
 
 
 def _et_assignments(source, target, caps, check_unit):
-    """All (ob_map, phi) satisfying the compatibility square, in lex order;
-    the unit law is included only when check_unit is set."""
-    base = source.base
-    carrier = target.carrier
-    n = source.n_objects
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-
-    total = 0
-    plans = []
-    n_obs = carrier.n_objects ** n if n else 1
-    guard_space(n_obs, caps, "functor object-map")
-    for ob_map in itertools.product(range(carrier.n_objects), repeat=n):
-        cands = {}
-        for (x, y) in pairs:
-            cands[(x, y)] = list(target.hom(
-                target.act_ob(source.hom(x, y), ob_map[x]), ob_map[y]))
-        total += max(search_space(pairs, cands), 1)
-        guard_space(total, caps, "functor action-map")
-        plans.append((ob_map, cands))
-
-    for ob_map, cands in plans:
-        constraints = []
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    needed = {(x, y), (y, z), (x, z)}
-
-                    def square(asg, x=x, y=y, z=z):
-                        lhs = target.compose(
-                            asg[(x, z)],
-                            target.act_mor(source.comp(x, y, z),
-                                           target.id_of(ob_map[x])))
-                        rhs = target.compose(
-                            asg[(y, z)],
-                            target.act_mor(base.id_of(source.hom(y, z)),
-                                           asg[(x, y)]))
-                        return lhs == rhs
-
-                    constraints.append((needed, square))
-        if check_unit:
-            for x in range(n):
-                def unit_law(asg, x=x):
-                    e = target.compose(
-                        asg[(x, x)],
-                        target.act_mor(source.unit(x), target.id_of(ob_map[x])))
-                    return e == target.id_of(ob_map[x])
-
-                constraints.append(({(x, x)}, unit_law))
-        for phi in backtrack(pairs, cands, constraints):
-            yield ob_map, phi
+    """All (ob_map, phi, unit laws) with phi satisfying the compatibility
+    square, in lex order; the unit laws are enforced only when check_unit
+    is set, and returned either way."""
+    for ob_map, cands in bounded_plans(
+            range(target.carrier.n_objects), source.n_objects,
+            lambda ob_map: mfun_et_cands(source, target, ob_map), caps, "functor"):
+        compat, unit = mfun_et_laws(source, target, ob_map)
+        for phi in backtrack(cands, compat + unit if check_unit else compat):
+            yield ob_map, phi, unit
 
 
 class MFunCategory:
@@ -286,7 +263,7 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
         raise SizeBound("enumeration needs a finite target carrier")
     functors = [
         MFunET(source, target, ob_map, phi, name=f"G{k}")
-        for k, (ob_map, phi) in enumerate(_et_assignments(source, target, caps, True))
+        for k, (ob_map, phi, _) in enumerate(_et_assignments(source, target, caps, True))
     ]
 
     mors = []
@@ -303,25 +280,11 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
 
 
 def _mor_assignments(f: MFunET, g: MFunET, caps):
-    target = f.target
-    base = f.source.base
     n = f.source.n_objects
-    slots = list(range(n))
-    cands = {x: list(target.hom(f.ob_map[x], g.ob_map[x])) for x in slots}
-    guard_space(max(search_space(slots, cands), 1), caps, "functor-morphism")
-    constraints = []
-    for x in range(n):
-        for y in range(n):
-            def square(asg, x=x, y=y):
-                lhs = target.compose(
-                    g.phi[(x, y)],
-                    target.act_mor(base.id_of(f.source.hom(x, y)), asg[x]))
-                rhs = target.compose(asg[y], f.phi[(x, y)])
-                return lhs == rhs
-
-            constraints.append(({x, y}, square))
-    for asg in backtrack(slots, cands, constraints):
-        yield tuple(asg[x] for x in slots)
+    cands = {x: list(f.target.hom(f.ob_map[x], g.ob_map[x])) for x in range(n)}
+    guard_space(max(search_space(cands), 1), caps, "functor-morphism")
+    for asg in backtrack(cands, mfun_square_laws(f, g)):
+        yield tuple(asg[x] for x in range(n))
 
 
 def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
@@ -334,17 +297,13 @@ def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
     candidates = 0
     violations = 0
     witnesses = []
-    for ob_map, phi in _et_assignments(source, target, caps, check_unit=False):
+    for ob_map, phi, unit in _et_assignments(source, target, caps, check_unit=False):
         candidates += 1
-        for x in range(source.n_objects):
-            e = target.compose(
-                phi[(x, x)],
-                target.act_mor(source.unit(x), target.id_of(ob_map[x])))
-            if e != target.id_of(ob_map[x]):
-                violations += 1
-                witnesses.append({"ob_map": tuple(target.obj_name(v) for v in ob_map),
-                                  "x": source.obj_name(x)})
-                break
+        cell = next(failures(unit, phi), None)
+        if cell is not None:
+            violations += 1
+            witnesses.append({"ob_map": tuple(target.obj_name(v) for v in ob_map),
+                              "x": source.obj_name(cell[0])})
     return candidates, violations, witnesses
 
 

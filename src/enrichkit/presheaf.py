@@ -13,7 +13,6 @@ validated FinCat together with its left-tensoring.  Over the finite-sets
 base presheaves stay structured values (see the colimit layer).
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .enriched import MCat
 from .mfunctor import MFunET, validate_mfun_et
-from .search import backtrack, guard_space, search_space
+from .search import backtrack, bounded_plans, failures
 from .tensored import base_as_module, validate_module
 from .fincat import component_category
 
@@ -78,33 +77,17 @@ def validate_presheaf(source: MCat, values, action) -> Presheaf:
             a = action.get((x, y))
             if a is None:
                 raise TypeMismatch("missing action component",
-                                   witness={"x": source.obj_name(x),
-                                            "y": source.obj_name(y)})
+                                   witness=source.cell_names((x, y)))
             want_dom = base.tensor_ob(values[y], source.hom(x, y))
             if base.dom(a) != want_dom or base.cod(a) != values[x]:
                 raise TypeMismatch("action component has wrong dom/cod",
-                                   witness={"x": source.obj_name(x),
-                                            "y": source.obj_name(y)})
-    for x in range(n):
-        e = base.compose(action[(x, x)],
-                         base.tensor_mor(base.id_of(values[x]), source.unit(x)))
-        if e != base.id_of(values[x]):
-            raise UnitActionViolation("presheaf unit action is not the identity",
-                                      witness={"x": source.obj_name(x)})
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                c1 = base.compose(action[(x, y)],
-                                  base.tensor_mor(action[(y, z)],
-                                                  base.id_of(source.hom(x, y))))
-                c2 = base.compose(action[(x, z)],
-                                  base.tensor_mor(base.id_of(values[z]),
-                                                  source.comp(x, y, z)))
-                if c1 != c2:
-                    raise CompatibilityViolation(
-                        "presheaf compatibility fails",
-                        witness={"x": source.obj_name(x), "y": source.obj_name(y),
-                                 "z": source.obj_name(z)})
+                                   witness=source.cell_names((x, y)))
+    unit, compat = presheaf_laws(source, values)
+    for error, message, laws in (
+            (UnitActionViolation, "presheaf unit action is not the identity", unit),
+            (CompatibilityViolation, "presheaf compatibility fails", compat)):
+        for cell in failures(laws, action):
+            raise error(message, witness=source.cell_names(cell))
     return Presheaf(source, values, action)
 
 
@@ -112,23 +95,64 @@ def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
     """Witness list for the morphism square; empty means valid."""
     source = f.source
     base = source.base
-    fails = []
-    for x in range(source.n_objects):
-        t = components[x]
-        if base.dom(t) != f.values[x] or base.cod(t) != g.values[x]:
-            fails.append({"x": source.obj_name(x), "kind": "ill-typed"})
-    if fails:
-        return fails
-    for x in range(source.n_objects):
-        for y in range(source.n_objects):
-            lhs = base.compose(g.action[(x, y)],
-                               base.tensor_mor(components[y],
-                                               base.id_of(source.hom(x, y))))
-            rhs = base.compose(components[x], f.action[(x, y)])
-            if lhs != rhs:
-                fails.append({"x": source.obj_name(x), "y": source.obj_name(y),
-                              "kind": "square"})
-    return fails
+    ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
+                 for x in range(source.n_objects)
+                 if (base.dom(components[x]) != f.values[x]
+                     or base.cod(components[x]) != g.values[x])]
+    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
+                         for cell in failures(presheaf_square_laws(f, g), components)]
+
+
+def presheaf_cands(source: MCat, values):
+    """The type-correct action maps per slot (x, y), in slot order: base
+    morphisms values[y] ⊗ hom(x,y) -> values[x]."""
+    base = source.base
+    n = source.n_objects
+    return {(x, y): list(base.hom(base.tensor_ob(values[y], source.hom(x, y)),
+                                  values[x]))
+            for x in range(n) for y in range(n)}
+
+
+def presheaf_laws(source: MCat, values):
+    """The presheaf laws for the value map ``values`` (Kelly 1982, §1.2):
+    the unit action per x, then compatibility per (x, y, z).  Returned as
+    two law tables (unit, compat) over the action slots (x, y)."""
+    base = source.base
+    xs = range(source.n_objects)
+
+    def unit_law(act, cell):
+        x, = cell
+        e = base.compose(act[(x, x)],
+                         base.tensor_mor(base.id_of(values[x]), source.unit(x)))
+        return e == base.id_of(values[x])
+
+    def compat_law(act, cell):
+        x, y, z = cell
+        c1 = base.compose(act[(x, y)],
+                          base.tensor_mor(act[(y, z)], base.id_of(source.hom(x, y))))
+        c2 = base.compose(act[(x, z)],
+                          base.tensor_mor(base.id_of(values[z]), source.comp(x, y, z)))
+        return c1 == c2
+
+    return ([(((x, x),), unit_law, (x,)) for x in xs],
+            [(((x, y), (y, z), (x, z)), compat_law, (x, y, z))
+             for x in xs for y in xs for z in xs])
+
+
+def presheaf_square_laws(f: Presheaf, g: Presheaf):
+    """The morphism square g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) per (x, y), as
+    a law table over the component slots x."""
+    source = f.source
+    base = source.base
+    xs = range(source.n_objects)
+
+    def square(t, cell):
+        x, y = cell
+        lhs = base.compose(g.action[cell],
+                           base.tensor_mor(t[y], base.id_of(source.hom(x, y))))
+        return lhs == base.compose(t[x], f.action[cell])
+
+    return [((x, y), square, (x, y)) for x in xs for y in xs]
 
 
 def tensor_presheaf(m, f: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presheaf:
@@ -214,68 +238,21 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
     if not base.is_finite:
         raise SizeBound("presheaf enumeration needs a finite base")
     n = source.n_objects
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    n_obs = len(list(base.objects()))
-
-    total = 0
-    plans = []
-    guard_space(n_obs ** n if n else 1, caps, "presheaf value-map")
-    for values in itertools.product(base.objects(), repeat=n):
-        cands = {}
-        for (x, y) in pairs:
-            cands[(x, y)] = list(base.hom(
-                base.tensor_ob(values[y], source.hom(x, y)), values[x]))
-        space = search_space(pairs, cands)
-        total += max(space, 1)
-        guard_space(total, caps, "presheaf action-map")
-        if space:
-            plans.append((values, cands))
-
     presheaves = []
-    for values, cands in plans:
-        constraints = []
-        for x in range(n):
-            def unit_law(asg, x=x):
-                e = base.compose(asg[(x, x)],
-                                 base.tensor_mor(base.id_of(values[x]), source.unit(x)))
-                return e == base.id_of(values[x])
-
-            constraints.append(({(x, x)}, unit_law))
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    def compat(asg, x=x, y=y, z=z):
-                        c1 = base.compose(
-                            asg[(x, y)],
-                            base.tensor_mor(asg[(y, z)], base.id_of(source.hom(x, y))))
-                        c2 = base.compose(
-                            asg[(x, z)],
-                            base.tensor_mor(base.id_of(values[z]), source.comp(x, y, z)))
-                        return c1 == c2
-
-                    constraints.append(({(x, y), (y, z), (x, z)}, compat))
-        for action in backtrack(pairs, cands, constraints):
+    for values, cands in bounded_plans(base.objects(), n,
+                                       lambda values: presheaf_cands(source, values),
+                                       caps, "presheaf"):
+        unit, compat = presheaf_laws(source, values)
+        for action in backtrack(cands, unit + compat):
             presheaves.append(Presheaf(source, values, action))
 
     morphisms = []
     mor_indices = []
-    slots = list(range(n))
     for i, f in enumerate(presheaves):
         for j, g in enumerate(presheaves):
-            mcands = {x: list(base.hom(f.values[x], g.values[x])) for x in slots}
-            constraints = []
-            for x in range(n):
-                for y in range(n):
-                    def square(asg, x=x, y=y, f=f, g=g):
-                        lhs = base.compose(
-                            g.action[(x, y)],
-                            base.tensor_mor(asg[y], base.id_of(source.hom(x, y))))
-                        rhs = base.compose(asg[x], f.action[(x, y)])
-                        return lhs == rhs
-
-                    constraints.append(({x, y}, square))
-            for asg in backtrack(slots, mcands, constraints):
-                comps = tuple(asg[x] for x in slots)
+            mcands = {x: list(base.hom(f.values[x], g.values[x])) for x in range(n)}
+            for asg in backtrack(mcands, presheaf_square_laws(f, g)):
+                comps = tuple(asg[x] for x in range(n))
                 morphisms.append(PresheafMor(f, g, comps))
                 mor_indices.append((i, j, comps))
 

@@ -231,3 +231,47 @@ def test_objects_given_as_string_is_schema_violation(tmp_path, capsys):
         parse_spec(f)
     assert main(["--spec", str(f), "--check", "validate"]) == 2
     capsys.readouterr()
+
+
+def module_and_presheaf_spec():
+    """boolean_chain plus the base acting on its own carrier and the
+    representable presheaf Y(b) on chain2."""
+    raw = json.loads((SPECS / "boolean_chain.json").read_text())
+    mon = raw["monoidal"]["bool_and"]
+    raw["modules"] = {"self2": {"base": "bool_and", "carrier": "bool2",
+                                "act_ob": mon["tensor_ob"],
+                                "act_mor": mon["tensor_mor"]}}
+    comp = raw["enriched"]["chain2"]["comp"]
+    raw["presheaves"] = {"Yb": {
+        "source": "chain2",
+        "values": [["a", "1"], ["b", "1"]],
+        "action": [[x, y, m] for x, y, z, m in comp if z == "b"]}}
+    return raw
+
+
+def test_module_and_presheaf_spec_validates(tmp_path, capsys):
+    f = tmp_path / "ok.json"
+    f.write_text(json.dumps(module_and_presheaf_spec()))
+    assert main(["--spec", str(f), "--check", "validate"]) == 0
+    out = capsys.readouterr().out
+    assert "validate.module [self2]" in out and "validate.presheaf [Yb]" in out
+
+
+@pytest.mark.parametrize("section, name, key, value", [
+    ("modules", "self2", "act_ob", [["0", "0"]]),
+    ("modules", "self2", "act_ob", "000"),
+    ("modules", "self2", "act_mor", [["id_0", "id_0", 0]]),
+    ("presheaves", "Yb", "values", [["a"], ["b", "1"]]),
+    ("presheaves", "Yb", "action", [["a", "a"]]),
+])
+def test_malformed_module_and_presheaf_entries_exit_2(tmp_path, capsys, section,
+                                                      name, key, value):
+    raw = module_and_presheaf_spec()
+    raw[section][name][key] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+    assert main(["--spec", str(f), "--check", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import pytest
 
 from enrichkit.corpus import (
     CorpusSampler,
+    SampleStats,
     boolean_chain_mcat,
     c3_one_object_mcat,
     s3_monoidal,
@@ -14,7 +15,7 @@ from enrichkit.errors import (
     EnrichedUnitViolation,
     TypeMismatch,
 )
-from enrichkit.fincat import parallel_pair, terminal_cat, walking_arrow
+from enrichkit.fincat import parallel_pair, terminal_cat, validate_fincat, walking_arrow
 from enrichkit.monoidal import boolean_monoidal, loop_monoidal, opposite_monoidal
 
 
@@ -104,6 +105,42 @@ def test_generator_soundness_reports_rate():
     again = validate_mcat(A.base, A.objects, A._hom, A._unit, A._comp)
     assert again == A
     assert sampler.mcat_stats.attempts >= sampler.mcat_stats.accepted
+
+
+class AlternatingCards:
+    """Stub rng: value cards alternate 1, 2, 1, 2, ...; shuffling is the
+    identity."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def randrange(self, start, stop):
+        self.calls += 1
+        return 1 if self.calls % 2 else 2
+
+    def shuffle(self, items):
+        pass
+
+
+def test_sampler_fallbacks_are_not_counted_as_accepted():
+    # In the codiscrete category a <-> b every presheaf or diagram has
+    # isomorphic values, so cards (1, 2) on every attempt admit none.
+    C = validate_fincat(
+        ["a", "b"], [("id_a", "a", "a"), ("id_b", "b", "b"),
+                     ("u", "a", "b"), ("v", "b", "a")],
+        [("id_a", "id_a", "id_a"), ("id_b", "id_b", "id_b"), ("u", "id_a", "u"),
+         ("id_b", "u", "u"), ("v", "id_b", "v"), ("id_a", "v", "v"),
+         ("v", "u", "id_a"), ("u", "v", "id_b")],
+        identity={"a": "id_a", "b": "id_b"}, name="codiscrete2")
+    A = mcat_from_fincat(C)
+    sampler = CorpusSampler(0)
+    sampler.rng = AlternatingCards()
+    W = sampler.random_presheaf(A)
+    assert [v.card for v in W.values] == [1, 1]
+    assert sampler.presheaf_stats == SampleStats(attempts=64, accepted=0, fallbacks=1)
+    F = sampler.random_diagram(A)
+    assert F.name == "terminal-diagram"
+    assert sampler.diagram_stats == SampleStats(attempts=64, accepted=0, fallbacks=1)
 
 
 def test_mutation_enriched_associativity_detected():

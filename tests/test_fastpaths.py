@@ -1,5 +1,6 @@
-"""The row-at-a-time law checks of validate_fincat and validate_module must
-raise exactly what a plain cell-by-cell scan raises.
+"""The row-at-a-time law checks of validate_fincat and validate_module, and
+the law tables behind validate_presheaf and validate_mfun_et, must raise
+exactly what a plain cell-by-cell scan raises.
 
 The references below are written independently of the library: they walk
 every morphism pair in O(M²) declaration order and compare one equation at
@@ -9,12 +10,19 @@ a time, in the scan order the validators document.
 from pathlib import Path
 
 from enrichkit.cli import Builder, parse_spec
-from enrichkit.corpus import boolean_chain_mcat, s3_monoidal
+from enrichkit.corpus import (
+    boolean_chain_mcat,
+    idempotent_unit_instance,
+    s3_monoidal,
+    z2_two_object_mcat,
+)
 from enrichkit.enriched import validate_mcat
 from enrichkit.errors import (
     AssociativityViolation,
     BifunctorialityViolation,
+    CompatibilityViolation,
     ModuleLawViolation,
+    TypeMismatch,
     UnitActionViolation,
     UnitViolation,
 )
@@ -27,14 +35,14 @@ from enrichkit.fincat import (
     validate_fincat,
     walking_arrow,
 )
-from enrichkit.mfunctor import enumerate_mfun_et
+from enrichkit.mfunctor import enumerate_mfun_et, validate_mfun_et
 from enrichkit.monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
 )
-from enrichkit.presheaf import enumerate_presheaves
+from enrichkit.presheaf import enumerate_presheaves, validate_presheaf
 from enrichkit.tensored import base_as_module, validate_module
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -217,3 +225,104 @@ def test_module_law_row_check_raises_brute_force_witness():
     want = brute_module_failure(base, carrier, aob, amor)
     assert want == (ModuleLawViolation, {"u": "id_s", "v": "id_s", "h": "r1"})
     assert module_outcome(base, carrier, aob, amor) == want
+
+
+# --- validate_presheaf / validate_mfun_et on the shared law tables -----------
+
+def law_instances():
+    return [boolean_chain_mcat(), z2_two_object_mcat()]
+
+
+def brute_presheaf_failure(A, values, action):
+    """First failure in validate_presheaf's documented order: typing per
+    (x, y), the unit action per x, compatibility per (x, y, z)."""
+    base, n, name = A.base, A.n_objects, A.obj_name
+    for x in range(n):
+        for y in range(n):
+            a = action[(x, y)]
+            if (base.dom(a) != base.tensor_ob(values[y], A.hom(x, y))
+                    or base.cod(a) != values[x]):
+                return TypeMismatch, {"x": name(x), "y": name(y)}
+    for x in range(n):
+        e = base.compose(action[(x, x)],
+                         base.tensor_mor(base.id_of(values[x]), A.unit(x)))
+        if e != base.id_of(values[x]):
+            return UnitActionViolation, {"x": name(x)}
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                c1 = base.compose(action[(x, y)], base.tensor_mor(
+                    action[(y, z)], base.id_of(A.hom(x, y))))
+                c2 = base.compose(action[(x, z)], base.tensor_mor(
+                    base.id_of(values[z]), A.comp(x, y, z)))
+                if c1 != c2:
+                    return CompatibilityViolation, {"x": name(x), "y": name(y),
+                                                    "z": name(z)}
+    return None
+
+
+def brute_mfun_et_failure(A, T, ob_map, phi):
+    """First failure in validate_mfun_et's documented order: typing per
+    (x, y), the compatibility square per (x, y, z), the unit action per x."""
+    base, n, name = A.base, A.n_objects, A.obj_name
+    for x in range(n):
+        for y in range(n):
+            p = phi[(x, y)]
+            if (T.dom(p) != T.act_ob(A.hom(x, y), ob_map[x])
+                    or T.cod(p) != ob_map[y]):
+                return TypeMismatch, {"x": name(x), "y": name(y)}
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = T.compose(phi[(x, z)], T.act_mor(A.comp(x, y, z),
+                                                       T.id_of(ob_map[x])))
+                rhs = T.compose(phi[(y, z)], T.act_mor(base.id_of(A.hom(y, z)),
+                                                       phi[(x, y)]))
+                if lhs != rhs:
+                    return CompatibilityViolation, {"x": name(x), "y": name(y),
+                                                    "z": name(z)}
+    for x in range(n):
+        e = T.compose(phi[(x, x)], T.act_mor(A.unit(x), T.id_of(ob_map[x])))
+        if e != T.id_of(ob_map[x]):
+            return UnitActionViolation, {"x": name(x)}
+    return None
+
+
+def outcome(validate, *args):
+    try:
+        validate(*args)
+    except (TypeMismatch, UnitActionViolation, CompatibilityViolation) as exc:
+        return type(exc), exc.witness
+    return None
+
+
+def test_single_cell_presheaf_mutations_raise_brute_force_witness():
+    kinds = set()
+    for A in law_instances():
+        for p in enumerate_presheaves(A).presheaves:
+            for cell in p.action:
+                for other in range(A.base.carrier.n_morphisms):
+                    if other == p.action[cell]:
+                        continue
+                    mutated = {**p.action, cell: other}
+                    want = brute_presheaf_failure(A, p.values, mutated)
+                    assert outcome(validate_presheaf, A, p.values, mutated) == want
+                    kinds.add(want and want[0])
+    assert {UnitActionViolation, CompatibilityViolation} <= kinds
+
+
+def test_single_cell_phi_mutations_raise_brute_force_witness():
+    # The idempotent instance has a cell where only the unit law fails.
+    kinds = set()
+    targets = [(A, base_as_module(A.base)) for A in law_instances()]
+    for A, T in targets + [idempotent_unit_instance()]:
+        for F in enumerate_mfun_et(A, T).functors:
+            for cell in F.phi:
+                for other in range(T.carrier.n_morphisms):
+                    if other == F.phi[cell]:
+                        continue
+                    mutated = {**F.phi, cell: other}
+                    want = brute_mfun_et_failure(A, T, F.ob_map, mutated)
+                    assert outcome(validate_mfun_et, A, T, F.ob_map, mutated) == want
+                    kinds.add(want and want[0])
+    assert {UnitActionViolation, CompatibilityViolation} <= kinds

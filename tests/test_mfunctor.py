@@ -117,7 +117,6 @@ def test_mutation_unit_action_detected():
     z = B.carrier.mor("z")
     with pytest.raises(UnitActionViolation):
         validate_mfun_et(A, B, (0,), {(0, 0): z})
-    validate_mfun_et(A, B, (0,), {(0, 0): z}, check_unit=False)
 
 
 def test_enumerate_empty_source():
