@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 from . import finset
 from .caps import DEFAULT_CAPS, scaled
@@ -55,12 +56,18 @@ from .wcolim import (
 
 COMMANDS = ("validate", "presheaves", "yoneda", "wcolim", "universal", "fuzz")
 BUILTIN_CARRIERS = ("finset-product", "finset-coproduct")
-SECTIONS = ("categories", "monoidal", "enriched", "modules",
-            "mfunctors", "presheaves", "weights")
+# Section -> declaration kind, in dependency order: a section refers only to
+# the sections before it.  The kind names the reader, the Builder method and
+# the ``validate.<kind>`` check.
+SECTIONS = {"categories": "category", "monoidal": "monoidal",
+            "enriched": "enriched", "modules": "module",
+            "mfunctors": "mfunctor", "presheaves": "presheaf",
+            "weights": "weight"}
 
 
 @dataclass
 class SpecFile:
+    """Resolved declarations, name-keyed in declaration order per section."""
     path: str
     categories: dict
     monoidal: dict
@@ -72,10 +79,13 @@ class SpecFile:
 
 
 def parse_spec(path) -> SpecFile:
-    """Read, schema-check and name-resolve a spec file.
+    """Read a spec file and resolve every declaration once.
 
-    Semantic validation (axiom checking) is left to the ``validate``
-    command so violations become report content rather than parse errors.
+    Each declaration's keys, shapes and names are checked by its kind's
+    reader, which stores the rows, names and cardinalities its validator
+    takes.  Semantic validation (axiom checking) is left to the
+    ``validate`` command so violations become report content rather than
+    parse errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,222 +105,220 @@ def parse_spec(path) -> SpecFile:
     for key in raw:
         if key != "enrichkit-spec" and key not in SECTIONS:
             raise SchemaViolation(f"{path}: unknown section {key!r}")
-    sections = {}
-    for key in SECTIONS:
-        sec = raw.get(key, {})
-        if not isinstance(sec, dict):
-            raise SchemaViolation(f"{path}: section {key!r} must be an object")
-        sections[key] = sec
-    spec = SpecFile(str(path), *[sections[k] for k in SECTIONS])
-    _resolve_references(spec)
+    spec = SpecFile(str(path), *({} for _ in SECTIONS))
+    reader = _Reader(spec)
+    for section, kind in SECTIONS.items():
+        decls = raw.get(section, {})
+        if not isinstance(decls, dict):
+            raise SchemaViolation(f"{path}: section {section!r} must be an object")
+        resolved = getattr(spec, section)
+        for name, decl in decls.items():
+            resolved[name] = getattr(reader, kind)(name, decl)
     return spec
 
 
-def _resolve_references(spec: SpecFile):
-    for name, decl in spec.categories.items():
-        _require_keys(name, decl, {"objects", "morphisms", "compose"}, {"identity"})
-        obs = set(_names(name, decl, "objects"))
-        mor_names = set()
-        for m in _entries(name, decl, "morphisms"):
-            mname, d, c = _mor_decl(name, m)
-            mor_names.add(mname)
-            for o in (d, c):
-                if o not in obs:
-                    raise UnresolvedReference(
-                        f"category {name!r}: morphism {mname!r} references "
-                        f"undeclared object {o!r}")
-        for entry in _tuples(name, decl, "compose", 3):
-            for mn in entry:
-                if mn not in mor_names:
-                    raise UnresolvedReference(
-                        f"category {name!r}: compose references undeclared "
-                        f"morphism {mn!r}")
-    for name, decl in spec.monoidal.items():
-        carrier = decl.get("carrier")
-        if carrier in BUILTIN_CARRIERS:
-            continue
-        if carrier not in spec.categories:
-            raise UnresolvedReference(
-                f"monoidal {name!r}: undeclared carrier {carrier!r}")
-        _require_keys(name, decl, {"carrier", "unit", "tensor_ob", "tensor_mor"}, set())
-        obs = set(spec.categories[carrier]["objects"])
-        mors = {_mor_decl(carrier, m)[0] for m in spec.categories[carrier]["morphisms"]}
-        if decl["unit"] not in obs:
-            raise UnresolvedReference(
-                f"monoidal {name!r}: undeclared unit object {decl['unit']!r}")
-        for a, b, ab in _tuples(name, decl, "tensor_ob", 3):
-            for o in (a, b, ab):
-                if o not in obs:
-                    raise UnresolvedReference(
-                        f"monoidal {name!r}: tensor_ob references undeclared "
-                        f"object {o!r}")
-        for u, v, uv in _tuples(name, decl, "tensor_mor", 3):
-            for mn in (u, v, uv):
-                if mn not in mors:
-                    raise UnresolvedReference(
-                        f"monoidal {name!r}: tensor_mor references undeclared "
-                        f"morphism {mn!r}")
-    for name, decl in spec.enriched.items():
-        _require_keys(name, decl, {"base", "objects", "hom", "unit", "comp"}, set())
-        base = decl["base"]
-        if base not in spec.monoidal:
-            raise UnresolvedReference(f"enriched {name!r}: undeclared base {base!r}")
-        carrier = spec.monoidal[base].get("carrier")
-        base_obs, base_mors = _carrier_names(spec, carrier)
-        obs = set(_names(name, decl, "objects"))
-        for x, y, ob in _tuples(name, decl, "hom", 3, 2):
-            if x not in obs or y not in obs:
-                raise UnresolvedReference(
-                    f"enriched {name!r}: hom entry names undeclared object")
-            if base_obs is not None and (not isinstance(ob, str)
-                                         or ob not in base_obs):
-                raise UnresolvedReference(
-                    f"enriched {name!r}: hom entry names undeclared base "
-                    f"object {ob!r}")
-            if base_obs is None and (not isinstance(ob, int) or ob < 0):
-                raise SchemaViolation(
-                    f"enriched {name!r}: hom over a finite-sets base must "
-                    f"give a non-negative cardinality, got {ob!r}")
-        for x, mor in _tuples(name, decl, "unit", 2, 1):
-            if x not in obs:
-                raise UnresolvedReference(
-                    f"enriched {name!r}: unit entry names undeclared object {x!r}")
-            if base_mors is not None and (not isinstance(mor, str)
-                                          or mor not in base_mors):
-                raise UnresolvedReference(
-                    f"enriched {name!r}: unit entry names undeclared base "
-                    f"morphism {mor!r}")
-            if base_mors is None and not _int_table(mor):
-                raise SchemaViolation(
-                    f"enriched {name!r}: unit over a finite-sets base must "
-                    f"be a function table")
-        for x, y, z, mor in _tuples(name, decl, "comp", 4, 3):
-            if x not in obs or y not in obs or z not in obs:
-                raise UnresolvedReference(
-                    f"enriched {name!r}: comp entry names undeclared object")
-            if base_mors is not None and (not isinstance(mor, str)
-                                          or mor not in base_mors):
-                raise UnresolvedReference(
-                    f"enriched {name!r}: comp entry names undeclared base "
-                    f"morphism {mor!r}")
-            if base_mors is None and not _int_table(mor):
-                raise SchemaViolation(
-                    f"enriched {name!r}: comp over a finite-sets base must "
-                    f"be a function table")
-    for name, decl in spec.modules.items():
-        if decl.get("base") not in spec.monoidal:
-            raise UnresolvedReference(
-                f"module {name!r}: undeclared base {decl.get('base')!r}")
-        if not decl.get("self"):
-            if decl.get("carrier") not in spec.categories:
-                raise UnresolvedReference(
-                    f"module {name!r}: undeclared carrier {decl.get('carrier')!r}")
-            _tuples(name, decl, "act_ob", 3)
-            _tuples(name, decl, "act_mor", 3)
-    for name, decl in spec.mfunctors.items():
-        if decl.get("source") not in spec.categories:
-            raise UnresolvedReference(
-                f"mfunctor {name!r}: undeclared source {decl.get('source')!r}")
-        if decl.get("target") != "finset":
-            raise UnresolvedReference(
-                f"mfunctor {name!r}: target must be 'finset'")
-        _check_finset_valued(name, decl, "ob_map", "phi",
-                             spec.categories[decl["source"]]["objects"])
-    for name, decl in spec.presheaves.items():
-        if decl.get("source") not in spec.enriched:
-            raise UnresolvedReference(
-                f"presheaf {name!r}: undeclared source {decl.get('source')!r}")
-        _tuples(name, decl, "values", 2)
-        _tuples(name, decl, "action", 3)
-    for name, decl in spec.weights.items():
-        if decl.get("source") not in spec.categories:
-            raise UnresolvedReference(
-                f"weight {name!r}: undeclared source {decl.get('source')!r}")
-        _check_finset_valued(name, decl, "values", "action",
-                             spec.categories[decl["source"]]["objects"])
+def _is_name(v):
+    return isinstance(v, str)
 
 
-def _entries(name, decl, key):
-    value = decl.get(key)
-    if not isinstance(value, list):
-        raise SchemaViolation(f"declaration {name!r}: {key} must be a list")
-    return value
+def _is_card(v):
+    return isinstance(v, int) and v >= 0
 
 
-def _names(name, decl, key):
-    value = _entries(name, decl, key)
-    if not all(isinstance(v, str) for v in value):
-        raise SchemaViolation(f"declaration {name!r}: {key} must be a list of names")
-    return value
+def _is_table(v):
+    return isinstance(v, list) and all(isinstance(i, int) for i in v)
 
 
-def _tuples(name, decl, key, arity, n_names=None):
-    """decl[key] as a list of arity-element lists whose first n_names
-    (default: all) elements are names."""
-    value = _entries(name, decl, key)
-    n_names = arity if n_names is None else n_names
-    for entry in value:
-        if (not isinstance(entry, list) or len(entry) != arity
-                or not all(isinstance(v, str) for v in entry[:n_names])):
-            raise SchemaViolation(
-                f"declaration {name!r}: malformed {key} entry {entry!r}")
-    return value
+def _index(objects):
+    return {o: i for i, o in enumerate(objects)}
 
 
-def _int_table(value):
-    return (isinstance(value, (list, tuple))
-            and all(isinstance(v, int) for v in value))
-
-
-def _check_finset_valued(name, decl, values_key, tables_key, objects):
-    values = decl.get(values_key)
-    if not isinstance(values, dict) or set(values) != set(objects):
-        raise SchemaViolation(
-            f"declaration {name!r}: {values_key} must give a cardinality "
-            f"for every object of the source")
-    for o, card in values.items():
-        if not isinstance(card, int) or card < 0:
-            raise SchemaViolation(
-                f"declaration {name!r}: cardinality for {o!r} must be a "
-                f"non-negative integer")
-    for entry in decl.get(tables_key, ()):
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 3
-                or entry[0] not in objects or entry[1] not in objects
-                or not isinstance(entry[2], (list, tuple))
-                or not all(isinstance(v, int) for v in entry[2])):
-            raise SchemaViolation(
-                f"declaration {name!r}: malformed {tables_key} entry {entry!r}")
-
-
-def _require_keys(name, decl, required, optional):
-    if not isinstance(decl, dict):
-        raise SchemaViolation(f"declaration {name!r} must be an object")
-    missing = required - set(decl)
+def _object_with_keys(where, raw, keys, optional=()):
+    if not isinstance(raw, dict):
+        raise SchemaViolation(f"{where} must be an object")
+    missing = [k for k in keys if k not in raw]
     if missing:
-        raise SchemaViolation(f"declaration {name!r} lacks {sorted(missing)}")
-    extra = set(decl) - required - optional
+        raise SchemaViolation(f"{where} lacks {missing}")
+    extra = sorted(set(raw) - set(keys) - set(optional))
     if extra:
-        raise SchemaViolation(f"declaration {name!r} has unknown keys {sorted(extra)}")
+        raise SchemaViolation(f"{where} has unknown keys {extra}")
+    return raw
 
 
-def _mor_decl(catname, m):
-    if isinstance(m, dict):
-        try:
-            return m["name"], m["dom"], m["cod"]
-        except KeyError as exc:
+class _Decl:
+    """One declaration: an object with exactly the given keys, read key by
+    key.  Each value read has a column: a set of declared names (a dict
+    resolves each name to its value, such as an object index) or a
+    predicate on the JSON value."""
+
+    def __init__(self, kind, name, raw, keys, optional=()):
+        self.where = f"{kind} {name!r}"
+        self.raw = _object_with_keys(self.where, raw, keys, optional)
+
+    def value(self, key, column):
+        value = self.raw[key]
+        return self._cell(key, value, value, column)
+
+    def names(self, key):
+        """A list of names being declared."""
+        return [self._cell(key, v, v, _is_name) for v in self._list(key)]
+
+    def rows(self, key, *columns, fields=()):
+        """A list of entries, one value per column, as tuples.  With
+        ``fields`` an entry may also be an object with exactly those keys."""
+        out = []
+        for entry in self._list(key):
+            row = entry
+            if fields and isinstance(entry, dict):
+                row = [_object_with_keys(f"{self.where}: {key} entry", entry,
+                                         fields)[f] for f in fields]
+            if not isinstance(row, list) or len(row) != len(columns):
+                raise SchemaViolation(f"{self.where}: malformed {key} entry {entry!r}")
+            out.append(tuple(self._cell(key, entry, v, col)
+                             for v, col in zip(row, columns)))
+        return out
+
+    def map(self, key, names, column, total=True):
+        """An object from names in ``names`` to values; ``total`` demands
+        one value for every name."""
+        value = self.raw[key]
+        if not isinstance(value, dict):
+            raise SchemaViolation(f"{self.where}: {key} must be an object")
+        out = {self._cell(key, k, k, names): self._cell(key, value, v, column)
+               for k, v in value.items()}
+        if total and len(out) != len(names):
             raise SchemaViolation(
-                f"category {catname!r}: morphism lacks {exc.args[0]!r}")
-    if isinstance(m, (list, tuple)) and len(m) == 3:
-        return m[0], m[1], m[2]
-    raise SchemaViolation(f"category {catname!r}: malformed morphism {m!r}")
+                f"{self.where}: {key} must give a value for every object of the source")
+        return out
+
+    def _list(self, key):
+        value = self.raw[key]
+        if not isinstance(value, list):
+            raise SchemaViolation(f"{self.where}: {key} must be a list")
+        return value
+
+    def _cell(self, key, entry, value, column):
+        if callable(column):
+            if column(value):
+                return value
+            raise SchemaViolation(f"{self.where}: malformed {key} entry {entry!r}")
+        if not isinstance(value, str):
+            raise SchemaViolation(
+                f"{self.where}: {key} entry {entry!r} has {value!r} where a name belongs")
+        if value not in column:
+            raise UnresolvedReference(f"{self.where}: {key} names undeclared {value!r}")
+        return column[value] if isinstance(column, dict) else value
 
 
-def _carrier_names(spec, carrier):
-    if carrier in BUILTIN_CARRIERS:
-        return None, None  # cardinalities, not names
-    decl = spec.categories[carrier]
-    return (set(decl["objects"]),
-            {_mor_decl(carrier, m)[0] for m in decl["morphisms"]})
+class _Reader:
+    """One reader per declaration kind.  Each checks a declaration against
+    the sections read before it and returns the resolved declaration:
+    source objects as indices, base and carrier cells as names."""
+
+    def __init__(self, spec: SpecFile):
+        self.spec = spec
+
+    def _table_names(self, d, base):
+        names = self.spec.monoidal[base].names
+        if names is None:
+            raise SchemaViolation(f"{d.where}: base {base!r} must have a table carrier")
+        return names
+
+    def category(self, name, raw):
+        d = _Decl("category", name, raw, ("objects", "morphisms", "compose"),
+                  ("identity",))
+        objects = d.names("objects")
+        obs = set(objects)
+        morphisms = d.rows("morphisms", _is_name, obs, obs,
+                           fields=("name", "dom", "cod"))
+        mors = {m for m, _, _ in morphisms}
+        return SimpleNamespace(
+            objects=objects, morphisms=morphisms, names=(obs, mors),
+            compose=d.rows("compose", mors, mors, mors),
+            identity=d.map("identity", obs, mors, total=False)
+            if "identity" in d.raw else None)
+
+    def monoidal(self, name, raw):
+        if isinstance(raw, dict) and raw.get("carrier") in BUILTIN_CARRIERS:
+            _Decl("monoidal", name, raw, ("carrier",))
+            return SimpleNamespace(carrier=raw["carrier"], names=None)
+        d = _Decl("monoidal", name, raw, ("carrier", "unit", "tensor_ob", "tensor_mor"))
+        carrier = d.value("carrier", self.spec.categories.keys())
+        obs, mors = names = self.spec.categories[carrier].names
+        return SimpleNamespace(
+            carrier=carrier, names=names, unit=d.value("unit", obs),
+            tensor_ob=d.rows("tensor_ob", obs, obs, obs),
+            tensor_mor=d.rows("tensor_mor", mors, mors, mors))
+
+    def enriched(self, name, raw):
+        d = _Decl("enriched", name, raw, ("base", "objects", "hom", "unit", "comp"))
+        base = d.value("base", self.spec.monoidal.keys())
+        objects = d.names("objects")
+        idx = _index(objects)
+        # over finite sets: cardinalities and function tables, not names
+        ob, mor = self.spec.monoidal[base].names or (_is_card, _is_table)
+        return SimpleNamespace(
+            base=base, objects=objects, index=idx,
+            hom=d.rows("hom", idx, idx, ob), unit=d.rows("unit", idx, mor),
+            comp=d.rows("comp", idx, idx, idx, mor))
+
+    def module(self, name, raw):
+        if isinstance(raw, dict) and raw.get("self") is True:
+            d = _Decl("module", name, raw, ("base", "self"))
+            return SimpleNamespace(base=d.value("base", self.spec.monoidal.keys()),
+                                   carrier=None)
+        d = _Decl("module", name, raw, ("base", "carrier", "act_ob", "act_mor"),
+                  ("self",))
+        if "self" in d.raw:
+            d.value("self", lambda v: v is False)
+        base = d.value("base", self.spec.monoidal.keys())
+        bobs, bmors = self._table_names(d, base)
+        carrier = d.value("carrier", self.spec.categories.keys())
+        obs, mors = self.spec.categories[carrier].names
+        return SimpleNamespace(
+            base=base, carrier=carrier,
+            act_ob=d.rows("act_ob", bobs, obs, obs),
+            act_mor=d.rows("act_mor", bmors, mors, mors))
+
+    def mfunctor(self, name, raw):
+        d = _Decl("mfunctor", name, raw, ("source", "target", "ob_map", "phi"))
+        source = d.value("source", self.spec.categories.keys())
+        d.value("target", {"finset"})
+        idx = _index(self.spec.categories[source].objects)
+        return SimpleNamespace(source=source, ob_map=d.map("ob_map", idx, _is_card),
+                               phi=d.rows("phi", idx, idx, _is_table))
+
+    def presheaf(self, name, raw):
+        d = _Decl("presheaf", name, raw, ("source", "values", "action"))
+        source = d.value("source", self.spec.enriched.keys())
+        A = self.spec.enriched[source]
+        obs, mors = self._table_names(d, A.base)
+        values = dict(d.rows("values", A.index, obs))
+        if len(values) != len(d.raw["values"]) or len(values) != len(A.index):
+            raise SchemaViolation(
+                f"{d.where}: values must name every object of the source exactly once")
+        return SimpleNamespace(source=source, values=values,
+                               action=d.rows("action", A.index, A.index, mors))
+
+    def weight(self, name, raw):
+        d = _Decl("weight", name, raw, ("source", "values", "action"))
+        source = d.value("source", self.spec.categories.keys())
+        idx = _index(self.spec.categories[source].objects)
+        return SimpleNamespace(source=source, values=d.map("values", idx, _is_card),
+                               action=d.rows("action", idx, idx, _is_table))
+
+
+def _built(section):
+    """A Builder method over one section: ``make(self, decl, name)`` runs
+    on the resolved declaration, once per name that builds."""
+    def wrap(make):
+        def method(self, name):
+            key = (make.__name__, name)
+            if key not in self._cache:
+                self._cache[key] = make(self, getattr(self.spec, section)[name], name)
+            return self._cache[key]
+        return method
+    return wrap
 
 
 class Builder:
@@ -321,137 +329,85 @@ class Builder:
         self.caps = caps
         self._cache = {}
 
-    def _memo(self, kind, name, make):
-        key = (kind, name)
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
+    @_built("categories")
+    def category(self, decl, name):
+        return validate_fincat(decl.objects, decl.morphisms, decl.compose,
+                               decl.identity, name=name, caps=self.caps)
 
-    def category(self, name):
-        decl = self.spec.categories[name]
+    @_built("categories")
+    def ingested(self, decl, name):
+        return mcat_from_fincat(self.category(name), self.caps)
 
-        def make():
-            morphisms = [_mor_decl(name, m) for m in decl["morphisms"]]
-            return validate_fincat(decl["objects"], morphisms, decl["compose"],
-                                   decl.get("identity"), name=name, caps=self.caps)
-
-        return self._memo("category", name, make)
-
-    def monoidal(self, name):
-        decl = self.spec.monoidal[name]
-
-        def make():
-            carrier = decl["carrier"]
-            if carrier == "finset-product":
-                return finset_product_monoidal(self.caps)
-            if carrier == "finset-coproduct":
-                return finset_coproduct_monoidal(self.caps)
-            return validate_monoidal(self.category(carrier), decl["unit"],
-                                     decl["tensor_ob"], decl["tensor_mor"],
-                                     name=name, caps=self.caps)
-
-        return self._memo("monoidal", name, make)
-
-    def enriched(self, name):
-        decl = self.spec.enriched[name]
-
-        def make():
-            base = self.monoidal(decl["base"])
-            objects = list(decl["objects"])
-            idx = {o: i for i, o in enumerate(objects)}
-            if base.is_finite:
-                carrier = base.carrier
-                hom = {(idx[x], idx[y]): carrier.obj(ob)
-                       for x, y, ob in decl["hom"]}
-                unit = {idx[x]: carrier.mor(m) for x, m in decl["unit"]}
-                comp = {(idx[x], idx[y], idx[z]): carrier.mor(m)
-                        for x, y, z, m in decl["comp"]}
-            else:
-                hom = {(idx[x], idx[y]): SkSet(ob) for x, y, ob in decl["hom"]}
-                unit = {idx[x]: SkMap(SkSet(1), hom[(idx[x], idx[x])], tuple(m))
-                        for x, m in decl["unit"]}
-                comp = {}
-                for x, y, z, m in decl["comp"]:
-                    dom = base.tensor_ob(hom[(idx[y], idx[z])], hom[(idx[x], idx[y])])
-                    comp[(idx[x], idx[y], idx[z])] = SkMap(
-                        dom, hom[(idx[x], idx[z])], tuple(m))
-            return validate_mcat(base, objects, hom, unit, comp,
+    @_built("monoidal")
+    def monoidal(self, decl, name):
+        if decl.carrier == "finset-product":
+            return finset_product_monoidal(self.caps)
+        if decl.carrier == "finset-coproduct":
+            return finset_coproduct_monoidal(self.caps)
+        return validate_monoidal(self.category(decl.carrier), decl.unit,
+                                 decl.tensor_ob, decl.tensor_mor,
                                  name=name, caps=self.caps)
 
-        return self._memo("enriched", name, make)
+    @_built("enriched")
+    def enriched(self, decl, name):
+        base = self.monoidal(decl.base)
+        if base.is_finite:
+            carrier = base.carrier
+            hom = {(x, y): carrier.obj(ob) for x, y, ob in decl.hom}
+            unit = {x: carrier.mor(m) for x, m in decl.unit}
+            comp = {(x, y, z): carrier.mor(m) for x, y, z, m in decl.comp}
+        else:
+            hom = {(x, y): SkSet(ob) for x, y, ob in decl.hom}
+            unit, comp = {}, {}
+            # the tables are typed by hom: when a hom cell is missing, the
+            # validator names it before reading them
+            if len(hom) == len(decl.objects) ** 2:
+                unit = {x: SkMap(SkSet(1), hom[(x, x)], tuple(m)) for x, m in decl.unit}
+                comp = {(x, y, z): SkMap(base.tensor_ob(hom[(y, z)], hom[(x, y)]),
+                                         hom[(x, z)], tuple(m))
+                        for x, y, z, m in decl.comp}
+        return validate_mcat(base, decl.objects, hom, unit, comp,
+                             name=name, caps=self.caps)
 
-    def module(self, name):
-        decl = self.spec.modules[name]
+    @_built("modules")
+    def module(self, decl, name):
+        base = self.monoidal(decl.base)
+        if decl.carrier is None:
+            return base_as_module(base)
+        carrier, bc = self.category(decl.carrier), base.carrier
+        act_ob = {(bc.obj(m), carrier.obj(c)): carrier.obj(c2)
+                  for m, c, c2 in decl.act_ob}
+        act_mor = {(bc.mor(u), carrier.mor(h)): carrier.mor(h2)
+                   for u, h, h2 in decl.act_mor}
+        return validate_module(base, carrier, act_ob, act_mor,
+                               name=name, caps=self.caps)
 
-        def make():
-            base = self.monoidal(decl["base"])
-            if decl.get("self"):
-                return base_as_module(base)
-            carrier = self.category(decl["carrier"])
-            bc = base.carrier
-            act_ob = {(bc.obj(m), carrier.obj(c)): carrier.obj(c2)
-                      for m, c, c2 in decl["act_ob"]}
-            act_mor = {(bc.mor(u), carrier.mor(h)): carrier.mor(h2)
-                       for u, h, h2 in decl["act_mor"]}
-            return validate_module(base, carrier, act_ob, act_mor,
-                                   name=name, caps=self.caps)
+    @_built("mfunctors")
+    def mfunctor(self, decl, name):
+        A = self.ingested(decl.source)
+        ob_map = [SkSet(decl.ob_map[x]) for x in range(A.n_objects)]
+        phi = {(x, y): SkMap(finset.product(A.hom(x, y), ob_map[x], self.caps),
+                             ob_map[y], tuple(table))
+               for x, y, table in decl.phi}
+        return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi,
+                                name=name, caps=self.caps)
 
-        return self._memo("module", name, make)
+    @_built("presheaves")
+    def presheaf(self, decl, name):
+        A = self.enriched(decl.source)
+        carrier = A.base.carrier
+        values = [carrier.obj(decl.values[x]) for x in range(A.n_objects)]
+        action = {(x, y): carrier.mor(m) for x, y, m in decl.action}
+        return validate_presheaf(A, values, action)
 
-    def ingested(self, catname):
-        return self._memo("ingested", catname,
-                          lambda: mcat_from_fincat(self.category(catname), self.caps))
-
-    def mfunctor(self, name):
-        decl = self.spec.mfunctors[name]
-
-        def make():
-            A = self.ingested(decl["source"])
-            B = FinSetModule(self.caps)
-            idx = {o: i for i, o in enumerate(A.objects)}
-            ob_map = [None] * A.n_objects
-            for o, card in decl["ob_map"].items():
-                ob_map[idx[o]] = SkSet(card)
-            phi = {}
-            for x, y, table in decl["phi"]:
-                dom = finset.product(A.hom(idx[x], idx[y]), ob_map[idx[x]], self.caps)
-                phi[(idx[x], idx[y])] = SkMap(dom, ob_map[idx[y]], tuple(table))
-            return validate_mfun_et(A, B, ob_map, phi, name=name, caps=self.caps)
-
-        return self._memo("mfunctor", name, make)
-
-    def presheaf(self, name):
-        decl = self.spec.presheaves[name]
-
-        def make():
-            A = self.enriched(decl["source"])
-            base = A.base
-            idx = {o: i for i, o in enumerate(A.objects)}
-            values = [None] * A.n_objects
-            for x, ob in decl["values"]:
-                values[idx[x]] = base.carrier.obj(ob)
-            action = {(idx[x], idx[y]): base.carrier.mor(m)
-                      for x, y, m in decl["action"]}
-            return validate_presheaf(A, values, action)
-
-        return self._memo("presheaf", name, make)
-
-    def weight(self, name):
-        decl = self.spec.weights[name]
-
-        def make():
-            A = self.ingested(decl["source"])
-            idx = {o: i for i, o in enumerate(A.objects)}
-            values = [None] * A.n_objects
-            for o, card in decl["values"].items():
-                values[idx[o]] = SkSet(card)
-            action = {}
-            for x, y, table in decl["action"]:
-                dom = finset.product(values[idx[y]], A.hom(idx[x], idx[y]), self.caps)
-                action[(idx[x], idx[y])] = SkMap(dom, values[idx[x]], tuple(table))
-            return validate_presheaf(A, values, action)
-
-        return self._memo("weight", name, make)
+    @_built("weights")
+    def weight(self, decl, name):
+        A = self.ingested(decl.source)
+        values = [SkSet(decl.values[x]) for x in range(A.n_objects)]
+        action = {(x, y): SkMap(finset.product(values[y], A.hom(x, y), self.caps),
+                                values[x], tuple(table))
+                  for x, y, table in decl.action}
+        return validate_presheaf(A, values, action)
 
 
 # --- report ------------------------------------------------------------------
@@ -576,28 +532,13 @@ def _ok(details=None):
 
 
 def _cmd_validate(report, builder):
-    spec = builder.spec
-    for name in spec.categories:
-        _run_record(report, "validate.category", name,
-                    lambda name=name: _ok(_cat_details(builder.category(name))))
-    for name in spec.monoidal:
-        _run_record(report, "validate.monoidal", name,
-                    lambda name=name: (builder.monoidal(name), _ok())[1])
-    for name in spec.enriched:
-        _run_record(report, "validate.enriched", name,
-                    lambda name=name: (builder.enriched(name), _ok())[1])
-    for name in spec.modules:
-        _run_record(report, "validate.module", name,
-                    lambda name=name: (builder.module(name), _ok())[1])
-    for name in spec.mfunctors:
-        _run_record(report, "validate.mfunctor", name,
-                    lambda name=name: (builder.mfunctor(name), _ok())[1])
-    for name in spec.presheaves:
-        _run_record(report, "validate.presheaf", name,
-                    lambda name=name: (builder.presheaf(name), _ok())[1])
-    for name in spec.weights:
-        _run_record(report, "validate.weight", name,
-                    lambda name=name: (builder.weight(name), _ok())[1])
+    for section, kind in SECTIONS.items():
+        for name in getattr(builder.spec, section):
+            def check(kind=kind, name=name):
+                built = getattr(builder, kind)(name)
+                return _ok(_cat_details(built) if kind == "category" else None)
+
+            _run_record(report, f"validate.{kind}", name, check)
 
 
 def _cat_details(cat):
@@ -642,16 +583,15 @@ def _cmd_yoneda(report, builder):
         _run_record(report, "yoneda.fully_faithful", name, faithful)
 
 
-def _weights_for(builder, source):
-    return [(wname, builder.weight(wname))
-            for wname, wdecl in builder.spec.weights.items()
-            if wdecl["source"] == source]
+def _weights_on(spec, source):
+    return [wname for wname, wdecl in spec.weights.items() if wdecl.source == source]
 
 
 def _cmd_wcolim(report, builder, seed):
     for fname, fdecl in builder.spec.mfunctors.items():
-        for wname, W in _weights_for(builder, fdecl["source"]):
-            def check(fname=fname, W=W, wname=wname):
+        for wname in _weights_on(builder.spec, fdecl.source):
+            def check(fname=fname, wname=wname):
+                W = builder.weight(wname)
                 F = builder.mfunctor(fname)
                 B = F.target
                 wc = weighted_colimit(W, F, B)
@@ -672,8 +612,8 @@ def _cmd_universal(report, builder, seed):
     for fname, fdecl in builder.spec.mfunctors.items():
         def check(fname=fname, fdecl=fdecl):
             F = builder.mfunctor(fname)
-            A = builder.ingested(fdecl["source"])
-            weights = [w for _, w in _weights_for(builder, fdecl["source"])]
+            A = builder.ingested(fdecl.source)
+            weights = [builder.weight(w) for w in _weights_on(builder.spec, fdecl.source)]
             if not weights:
                 weights = [terminal_weight(A)]
             rep = check_equivalence([(A, F, weights)], seed=seed, caps=builder.caps)

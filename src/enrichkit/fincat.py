@@ -132,6 +132,38 @@ class FinCat:
                 f"{self.n_morphisms} morphisms)")
 
 
+class Carried:
+    """Category structure delegated to ``self.carrier``: the monoidal bases
+    and the left-tensored categories are categories through their carrier."""
+
+    def id_of(self, x):
+        return self.carrier.id_of(x)
+
+    def compose(self, g, f):
+        return self.carrier.compose(g, f)
+
+    def dom(self, m):
+        return self.carrier.dom(m)
+
+    def cod(self, m):
+        return self.carrier.cod(m)
+
+    def hom(self, x, y):
+        return self.carrier.hom(x, y)
+
+    def is_iso(self, m):
+        return self.carrier.is_iso(m)
+
+    def inverses(self, m):
+        return self.carrier.inverses(m)
+
+    def obj_name(self, x):
+        return self.carrier.obj_name(x)
+
+    def mor_name(self, m):
+        return self.carrier.mor_name(m)
+
+
 def validate_fincat(objects, morphisms, compose, identity=None, name="",
                     caps: Caps = DEFAULT_CAPS) -> FinCat:
     """Validate raw tables and intern them into a FinCat.

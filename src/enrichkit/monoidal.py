@@ -19,11 +19,11 @@ from .errors import (
     MissingComposite,
     UnitViolation,
 )
-from .fincat import FinCat, discrete_cat, validate_fincat
+from .fincat import Carried, FinCat, discrete_cat, validate_fincat
 from .finset import SkSet, SkSetCat
 
 
-class MonStrBase:
+class MonStrBase(Carried):
     """Interface shared by both monoidal backends.
 
     Downstream code only ever calls these methods, so enriched categories,
@@ -43,34 +43,6 @@ class MonStrBase:
     def tensor_mor(self, u, v):
         """u ⊗ v, first argument on the left."""
         raise NotImplementedError
-
-    # carrier delegation
-    def id_of(self, a):
-        return self.carrier.id_of(a)
-
-    def compose(self, g, f):
-        return self.carrier.compose(g, f)
-
-    def dom(self, m):
-        return self.carrier.dom(m)
-
-    def cod(self, m):
-        return self.carrier.cod(m)
-
-    def hom(self, a, b):
-        return self.carrier.hom(a, b)
-
-    def is_iso(self, m):
-        return self.carrier.is_iso(m)
-
-    def inverses(self, m):
-        return self.carrier.inverses(m)
-
-    def obj_name(self, a):
-        return self.carrier.obj_name(a)
-
-    def mor_name(self, m):
-        return self.carrier.mor_name(m)
 
 
 class MonStr(MonStrBase):

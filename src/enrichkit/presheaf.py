@@ -312,6 +312,23 @@ def _backward_map(pscat, x, m, components):
                         base.tensor_mor(base.id_of(m), source.unit(x)))
 
 
+def _bijection(pscat, module, ys, iF, x, m):
+    """The Yoneda map alpha -> F-action ∘ (alpha ⊗ id) from Hom(m, F(x)) to
+    Hom(m ⊗ Y(x), F) for F the iF-th presheaf: (lhs, images, the component
+    tuples of the target hom-set, failure kind or None)."""
+    F = pscat.presheaves[iF]
+    lhs = list(pscat.source.base.hom(m, F.values[x]))
+    rhs_comps = {pscat.morphisms[k].components
+                 for k in pscat.mors_between(module.act_ob(m, ys[x]), iF)}
+    images = [_forward_map(pscat, F, x, m, a) for a in lhs]
+    kind = None
+    if len(set(images)) != len(images):
+        kind = "not-injective"
+    elif set(images) != rhs_comps:
+        kind = "not-onto"
+    return lhs, images, rhs_comps, kind
+
+
 def check_yoneda_lemma(pscat: PresheafCategory) -> BijectionReport:
     """For every presheaf F, object x and base object m, verify that
     alpha -> (F-action ∘ (alpha ⊗ id)) bijects Hom(m, F(x)) with
@@ -327,18 +344,11 @@ def check_yoneda_lemma(pscat: PresheafCategory) -> BijectionReport:
         for x in range(source.n_objects):
             for m in base.objects():
                 checked += 1
-                imx = module.act_ob(m, ys[x])
-                lhs = list(base.hom(m, F.values[x]))
-                rhs = pscat.mors_between(imx, iF)
-                rhs_comps = {pscat.morphisms[k].components for k in rhs}
-                images = [_forward_map(pscat, F, x, m, a) for a in lhs]
+                lhs, images, rhs_comps, kind = _bijection(pscat, module, ys, iF, x, m)
                 witness = {"F": f"F{iF}", "x": source.obj_name(x),
                            "m": base.obj_name(m)}
-                if len(set(images)) != len(images):
-                    failures.append({**witness, "kind": "not-injective"})
-                    continue
-                if set(images) != rhs_comps:
-                    failures.append({**witness, "kind": "not-onto"})
+                if kind:
+                    failures.append({**witness, "kind": kind})
                     continue
                 ok = all(_backward_map(pscat, x, m, img) == a
                          for a, img in zip(lhs, images))
@@ -382,20 +392,12 @@ def check_fully_faithful(pscat: PresheafCategory,
 
     for x in range(source.n_objects):
         for y in range(source.n_objects):
-            Fy = pscat.presheaves[ys[y]]
             for m in base.objects():
                 checked += 1
-                imx = module.act_ob(m, ys[x])
-                lhs = list(base.hom(m, source.hom(x, y)))
-                rhs_comps = {pscat.morphisms[k].components
-                             for k in pscat.mors_between(imx, ys[y])}
-                images = [_forward_map(pscat, Fy, x, m, a) for a in lhs]
-                witness = {"x": source.obj_name(x), "y": source.obj_name(y),
-                           "m": base.obj_name(m)}
-                if len(set(images)) != len(images):
-                    failures.append({**witness, "kind": "not-injective"})
-                elif set(images) != rhs_comps:
-                    failures.append({**witness, "kind": "not-onto"})
+                kind = _bijection(pscat, module, ys, ys[y], x, m)[3]
+                if kind:
+                    failures.append({"x": source.obj_name(x), "y": source.obj_name(y),
+                                     "m": base.obj_name(m), "kind": kind})
 
     hom_records = []
     for x in range(source.n_objects):

@@ -16,13 +16,13 @@ from .errors import (
     ModuleLawViolation,
     UnitActionViolation,
 )
-from .fincat import FinCat
+from .fincat import Carried, FinCat
 
 
-class LTensored:
+class LTensored(Carried):
     """Interface of a left-tensored category.
 
-    Implementations provide act_ob/act_mor plus carrier delegation; the
+    Implementations provide act_ob/act_mor and a carrier; the
     validators and the functor layer only use these methods.
     """
 
@@ -31,33 +31,6 @@ class LTensored:
 
     def act_mor(self, u, h):
         raise NotImplementedError
-
-    def id_of(self, b):
-        return self.carrier.id_of(b)
-
-    def compose(self, g, f):
-        return self.carrier.compose(g, f)
-
-    def dom(self, h):
-        return self.carrier.dom(h)
-
-    def cod(self, h):
-        return self.carrier.cod(h)
-
-    def hom(self, b, c):
-        return self.carrier.hom(b, c)
-
-    def is_iso(self, h):
-        return self.carrier.is_iso(h)
-
-    def inverses(self, h):
-        return self.carrier.inverses(h)
-
-    def obj_name(self, b):
-        return self.carrier.obj_name(b)
-
-    def mor_name(self, h):
-        return self.carrier.mor_name(h)
 
     @property
     def is_finite(self):

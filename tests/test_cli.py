@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enrichkit.cli import Builder, main, parse_spec, run
 from enrichkit.errors import ParseError, SchemaViolation, UnresolvedReference
@@ -182,6 +188,26 @@ def test_enriched_over_finset_base_in_spec(tmp_path):
     assert A.hom(0, 0).card == 1
 
 
+def test_finset_enriched_missing_hom_is_a_failed_record(tmp_path):
+    # comp tables over finite sets are typed by hom: a missing hom cell is
+    # named by the validator, not a crash while building the tables
+    raw = {
+        "enrichkit-spec": 1,
+        "monoidal": {"FS": {"carrier": "finset-product"}},
+        "enriched": {"E": {
+            "base": "FS",
+            "objects": ["x", "y"],
+            "hom": [["x", "x", 1], ["x", "y", 1], ["y", "y", 1]],
+            "unit": [["x", [0]], ["y", [0]]],
+            "comp": [["x", "y", "x", []]],
+        }},
+    }
+    f = tmp_path / "fs.json"
+    f.write_text(json.dumps(raw))
+    report = run("validate", parse_spec(f))
+    assert report.records[-1].witnesses == ["MissingComposite: hom('y', 'x') missing"]
+
+
 def test_weight_schema_violations(tmp_path):
     raw = json.loads((SPECS / "wcolim_demo.json").read_text())
     raw["weights"]["Wterm"]["values"]["p"] = "one"
@@ -263,6 +289,10 @@ def test_module_and_presheaf_spec_validates(tmp_path, capsys):
     ("modules", "self2", "act_mor", [["id_0", "id_0", 0]]),
     ("presheaves", "Yb", "values", [["a"], ["b", "1"]]),
     ("presheaves", "Yb", "action", [["a", "a"]]),
+    ("presheaves", "Yb", "values", [["a", "1"]]),
+    ("presheaves", "Yb", "values", [["a", "1"], ["b", "1"], ["a", "0"]]),
+    ("presheaves", "Yb", "note", "an unknown key"),
+    ("modules", "self2", "self", 1),
 ])
 def test_malformed_module_and_presheaf_entries_exit_2(tmp_path, capsys, section,
                                                       name, key, value):
@@ -275,3 +305,114 @@ def test_malformed_module_and_presheaf_entries_exit_2(tmp_path, capsys, section,
     assert main(["--spec", str(f), "--check", "validate"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _morphism_name_list(raw):
+    raw["categories"]["bool2"]["morphisms"][2]["name"] = ["le01"]
+
+
+def _presheaf_value(raw):
+    raw["presheaves"]["Yb"]["values"][0][0] = "ghost"
+
+
+def _presheaf_action_base_morphism(raw):
+    raw["presheaves"]["Yb"]["action"][0][2] = "ghost"
+
+
+def _module_act_ob_base_object(raw):
+    # act_ob is the monoidal tensor_ob list itself: replace it, not mutate it
+    module = raw["modules"]["self2"]
+    module["act_ob"] = [["ghost", "0", "0"]] + module["act_ob"][1:]
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (lambda raw: raw.update(modules={"M": 3}), SchemaViolation),
+    (lambda raw: raw["monoidal"].update(bool_and=5), SchemaViolation),
+    (_morphism_name_list, SchemaViolation),
+    (_presheaf_value, UnresolvedReference),
+    (_presheaf_action_base_morphism, UnresolvedReference),
+    (_module_act_ob_base_object, UnresolvedReference),
+])
+def test_malformed_declarations_exit_2(tmp_path, capsys, mutate, error):
+    raw = module_and_presheaf_spec()
+    mutate(raw)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(error):
+        parse_spec(f)
+    assert main(["--spec", str(f), "--check", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_presheaf_over_finset_base_is_schema_violation(tmp_path):
+    raw = json.loads((SPECS / "boolean_chain.json").read_text())
+    raw["monoidal"]["FS"] = {"carrier": "finset-product"}
+    raw["enriched"]["E"] = {"base": "FS", "objects": ["x"], "hom": [["x", "x", 1]],
+                            "unit": [["x", [0]]], "comp": [["x", "x", "x", [0]]]}
+    raw["presheaves"] = {"P": {"source": "E", "values": [["x", "1"]],
+                               "action": [["x", "x", "id_1"]]}}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw["categories"]["Apar"].update(compose=[]),
+    lambda raw: raw["weights"]["Wterm"]["values"].update(p=7),
+])
+def test_wcolim_weight_failure_is_a_record(tmp_path, capsys, mutate):
+    # the weight is built inside its check record: a weight or source
+    # category that fails validation is that record's verdict
+    raw = json.loads((SPECS / "wcolim_demo.json").read_text())
+    mutate(raw)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    assert main(["--spec", str(f), "--check", "wcolim", "--format", "machine"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    verdicts = {c["instance"]: c["verdict"] for c in payload["checks"]}
+    assert verdicts["Wterm*Fswap"] != "pass" and verdicts["Wyb*Farr"] == "pass"
+
+
+def _node_paths(node, path=()):
+    """The path of every node below the root of a JSON value."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+# the shipped specs plus module_and_presheaf_spec(), round-tripped through
+# JSON so that no two nodes are one list
+MUTATED_SPECS = {f.stem: json.loads(f.read_text()) for f in sorted(SPECS.glob("*.json"))}
+MUTATED_SPECS["module_and_presheaf"] = json.loads(json.dumps(module_and_presheaf_spec()))
+MUTATION_SITES = [(name, path) for name, raw in MUTATED_SPECS.items()
+                  for path in _node_paths(raw)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(site=st.sampled_from(MUTATION_SITES),
+       value=st.sampled_from(["ghost", 7, [], None, {}]))
+def test_mutated_specs_never_crash(site, value):
+    # one node of a spec replaced by a wrong value: an exit code, never a
+    # traceback, and exit 2 prints exactly one error line
+    name, path = site
+    raw = copy.deepcopy(MUTATED_SPECS[name])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    checks = ["validate", "wcolim"] if name == "wcolim_demo" else ["validate"]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "spec.json"
+        f.write_text(json.dumps(raw))
+        for check in checks:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--spec", str(f), "--check", check])
+            assert code in (0, 1, 2, 3)
+            if code == 2:
+                assert err.getvalue().startswith("error:")
+                assert err.getvalue().count("\n") == 1
