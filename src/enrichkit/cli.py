@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     SchemaViolation,
     SizeBound,
+    TypeMismatch,
     UnresolvedReference,
     ValidationError,
 )
@@ -321,6 +322,15 @@ def _built(section):
     return wrap
 
 
+def _table_map(dom, cod, table, message, witness):
+    """The map dom -> cod with a spec's function table.  A table of another
+    length or with an entry outside cod fails as the validator's typing
+    check would: a TypeMismatch naming the declaration's cell."""
+    if len(table) != dom.card or not all(0 <= v < cod.card for v in table):
+        raise TypeMismatch(message, witness=witness)
+    return SkMap(dom, cod, tuple(table))
+
+
 class Builder:
     """Builds validated objects from a parsed spec, with caching."""
 
@@ -362,9 +372,16 @@ class Builder:
             # the tables are typed by hom: when a hom cell is missing, the
             # validator names it before reading them
             if len(hom) == len(decl.objects) ** 2:
-                unit = {x: SkMap(SkSet(1), hom[(x, x)], tuple(m)) for x, m in decl.unit}
-                comp = {(x, y, z): SkMap(base.tensor_ob(hom[(y, z)], hom[(x, y)]),
-                                         hom[(x, z)], tuple(m))
+                obs = decl.objects
+                unit = {x: _table_map(
+                            SkSet(1), hom[(x, x)], m,
+                            f"unit of {obs[x]!r} is not a morphism 1 -> hom(x, x)",
+                            {"x": obs[x]})
+                        for x, m in decl.unit}
+                comp = {(x, y, z): _table_map(
+                            base.tensor_ob(hom[(y, z)], hom[(x, y)]), hom[(x, z)], m,
+                            f"comp({obs[x]!r}, {obs[y]!r}, {obs[z]!r}) has wrong dom/cod",
+                            {"x": obs[x], "y": obs[y], "z": obs[z]})
                         for x, y, z, m in decl.comp}
         return validate_mcat(base, decl.objects, hom, unit, comp,
                              name=name, caps=self.caps)
@@ -386,8 +403,9 @@ class Builder:
     def mfunctor(self, decl, name):
         A = self.ingested(decl.source)
         ob_map = [SkSet(decl.ob_map[x]) for x in range(A.n_objects)]
-        phi = {(x, y): SkMap(finset.product(A.hom(x, y), ob_map[x], self.caps),
-                             ob_map[y], tuple(table))
+        phi = {(x, y): _table_map(finset.product(A.hom(x, y), ob_map[x], self.caps),
+                                  ob_map[y], table, "action component has wrong dom/cod",
+                                  A.cell_names((x, y)))
                for x, y, table in decl.phi}
         return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi,
                                 name=name, caps=self.caps)
@@ -404,8 +422,9 @@ class Builder:
     def weight(self, decl, name):
         A = self.ingested(decl.source)
         values = [SkSet(decl.values[x]) for x in range(A.n_objects)]
-        action = {(x, y): SkMap(finset.product(values[y], A.hom(x, y), self.caps),
-                                values[x], tuple(table))
+        action = {(x, y): _table_map(finset.product(values[y], A.hom(x, y), self.caps),
+                                     values[x], table, "action component has wrong dom/cod",
+                                     A.cell_names((x, y)))
                   for x, y, table in decl.action}
         return validate_presheaf(A, values, action)
 

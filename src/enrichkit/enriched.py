@@ -13,6 +13,7 @@ base of the colimit layer enters.
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
+    DanglingReference,
     EnrichedAssociativityViolation,
     EnrichedUnitViolation,
     MissingComposite,
@@ -85,6 +86,8 @@ def validate_mcat(base, objects, hom, unit, comp, name="",
     comp: {(x, y, z): base morphism hom(y, z) ⊗ hom(x, y) -> hom(x, z)}.
     """
     objects = tuple(objects)
+    if len(set(objects)) != len(objects):
+        raise DanglingReference("duplicate object name")
     n = len(objects)
     hom = dict(hom)
     unit = dict(unit)

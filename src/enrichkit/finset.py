@@ -7,13 +7,25 @@ no associator bookkeeping exists anywhere downstream.  Coequalizers go
 through union-find with minimal-element representatives and classes
 renumbered by increasing representative, which pins a canonical choice
 among isomorphic quotients.
+
+Values are canonical where they are small.  The kernel constructors return
+one shared ``SkSet`` per cardinality below ``INTERN_LIMIT``, and one shared
+identity and one shared map out of the empty set for each of those sets,
+each built on first use; ``compose`` and ``product_map`` return that shared
+empty map whenever their domain is empty.  No operation is memoized.  A
+``SkMap`` computes its hash once, at construction, and compares by
+identity, then hash, then table and codomain.  A ``SkSet``/``SkMap`` built
+directly is equal to, and hashes like, the shared one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import itertools
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import Overflow, ShapeMismatch, SizeBound
+
+# Cardinalities below this bound get one shared set, identity and empty map.
+INTERN_LIMIT = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -24,32 +36,89 @@ class SkSet:
         if self.card < 0:
             raise ShapeMismatch("negative cardinality")
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.card == other.card
+        return NotImplemented
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class SkMap:
     dom: SkSet
     cod: SkSet
     table: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.table) != self.dom.card:
+        table = self.table
+        if len(table) != self.dom.card:
             raise ShapeMismatch("table length differs from dom cardinality")
-        if any(not (0 <= v < self.cod.card) for v in self.table):
+        if table and (min(table) < 0 or max(table) >= self.cod.card):
             raise ShapeMismatch("table entry out of codomain range")
+        # A tuple's hash depends only on its items' hashes, and an SkSet
+        # hashes as the 1-tuple of its card, so this is hash((dom, cod, table)).
+        object.__setattr__(self, "_hash", hash(((self.dom.card,), (self.cod.card,), table)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.table == other.table
+                and self.cod == other.cod)
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, i):
         return self.table[i]
 
 
+# The shared values by cardinality, each built on first use.  The slots are
+# filled in place, never rebound, so every holder of these lists sees them.
+_SETS = [None] * INTERN_LIMIT
+_IDENTITIES = [None] * INTERN_LIMIT
+_EMPTY_MAPS = [None] * INTERN_LIMIT
+
+
+def _skset(card):
+    if card >= INTERN_LIMIT:
+        return SkSet(card)
+    x = _SETS[card]
+    if x is None:
+        x = _SETS[card] = SkSet(card)
+    return x
+
+
+def initial_map(x: SkSet) -> SkMap:
+    """The unique map from the empty set to x."""
+    if x.card >= INTERN_LIMIT:
+        return SkMap(_skset(0), x, ())
+    m = _EMPTY_MAPS[x.card]
+    if m is None:
+        m = _EMPTY_MAPS[x.card] = SkMap(_skset(0), _skset(x.card), ())
+    return m
+
+
 def identity(x: SkSet) -> SkMap:
-    return SkMap(x, x, tuple(range(x.card)))
+    if x.card >= INTERN_LIMIT:
+        return SkMap(x, x, tuple(range(x.card)))
+    m = _IDENTITIES[x.card]
+    if m is None:
+        x = _skset(x.card)
+        m = _IDENTITIES[x.card] = SkMap(x, x, tuple(range(x.card)))
+    return m
 
 
 def compose(g: SkMap, f: SkMap) -> SkMap:
     """g after f."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise ShapeMismatch(f"cannot compose {g} after {f}")
-    return SkMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    if not f.table:
+        return initial_map(g.cod)
+    return SkMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def is_bijection(f: SkMap) -> bool:
@@ -71,7 +140,7 @@ def product(x: SkSet, y: SkSet, caps: Caps = DEFAULT_CAPS) -> SkSet:
     card = x.card * y.card
     if card > caps.max_card:
         raise Overflow(f"product cardinality {card} exceeds cap {caps.max_card}")
-    return SkSet(card)
+    return _skset(card)
 
 
 def pair(i: int, j: int, y: SkSet) -> int:
@@ -94,9 +163,10 @@ def product_map(f: SkMap, g: SkMap, caps: Caps = DEFAULT_CAPS) -> SkMap:
     """f x g on the pair encoding (f acts on the left factor)."""
     dom = product(f.dom, g.dom, caps)
     cod = product(f.cod, g.cod, caps)
-    table = tuple(pair(f.table[i], g.table[j], g.cod)
-                  for i in range(f.dom.card) for j in range(g.dom.card))
-    return SkMap(dom, cod, table)
+    if not dom.card:
+        return initial_map(cod)
+    n, gt = g.cod.card, g.table
+    return SkMap(dom, cod, tuple([a * n + b for a in f.table for b in gt]))
 
 
 # --- coproduct --------------------------------------------------------------
@@ -105,7 +175,7 @@ def coproduct(parts, caps: Caps = DEFAULT_CAPS) -> SkSet:
     card = sum(p.card for p in parts)
     if card > caps.max_card:
         raise Overflow(f"coproduct cardinality {card} exceeds cap {caps.max_card}")
-    return SkSet(card)
+    return _skset(card)
 
 
 def offsets(parts):
@@ -133,7 +203,7 @@ def copair(parts, maps, caps: Caps = DEFAULT_CAPS) -> SkMap:
     for p, m in zip(parts, maps):
         if m.dom != p:
             raise ShapeMismatch("copair: map domain differs from its part")
-    cod = maps[0].cod if maps else SkSet(0)
+    cod = maps[0].cod if maps else _skset(0)
     table = tuple(v for m in maps for v in m.table)
     return SkMap(coproduct(parts, caps), cod, table)
 
@@ -176,7 +246,7 @@ def coequalizer(f: SkMap, g: SkMap):
 
     reps = sorted({find(i) for i in range(f.cod.card)})
     index = {r: k for k, r in enumerate(reps)}
-    proj = SkMap(f.cod, SkSet(len(reps)), tuple(index[find(i)] for i in range(f.cod.card)))
+    proj = SkMap(f.cod, _skset(len(reps)), tuple(index[find(i)] for i in range(f.cod.card)))
     return proj.cod, proj
 
 

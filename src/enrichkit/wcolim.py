@@ -52,7 +52,7 @@ class FinSetModule(TensorModule):
 
     def copair(self, objs, maps, cod):
         if not maps:
-            return SkMap(SkSet(0), cod, ())
+            return finset.initial_map(cod)
         return finset.copair(objs, maps, self.caps)
 
     def coequalizer(self, f, g):
@@ -169,7 +169,7 @@ class PresheafModule:
                                            [m.components[x] for m in maps],
                                            self.caps))
             else:
-                comps.append(SkMap(SkSet(0), cod.values[x], ()))
+                comps.append(finset.initial_map(cod.values[x]))
         src, _ = self.coproduct(objs)
         comps = tuple(comps)
         _guard_mor(src, cod, comps)
@@ -488,9 +488,11 @@ class Ext:
     def tensor_comparison(self, m: SkSet, W: Presheaf):
         """The canonical map colim_{m⊗W}(F) -> act(m, colim_W(F)); an
         isomorphism because the tensor preserves colimits in each argument."""
+        return self._tensor_comparison(m, W, tensor_presheaf(m, W))
+
+    def _tensor_comparison(self, m: SkSet, W: Presheaf, mW: Presheaf):
         B = self.module
         F = self.diagram
-        mW = tensor_presheaf(m, W)
         src = self.colimit(mW)
         base_wc = self.colimit(W)
         legs = tuple(B.act_mor(finset.identity(m), base_wc.cocone.legs[x])
@@ -508,13 +510,15 @@ def ext(F: MFunET, module=None) -> Ext:
 def structure_presheaf_mor(A: MCat, x, y, caps: Caps = DEFAULT_CAPS) -> PresheafMor:
     """The canonical map hom(x,y) ⊗ Y(x) -> Y(y) with components given by
     composition."""
-    yx = yoneda_presheaf(A, x)
-    yy = yoneda_presheaf(A, y)
-    src = tensor_presheaf(A.hom(x, y), yx, caps)
+    src = tensor_presheaf(A.hom(x, y), yoneda_presheaf(A, x), caps)
+    return _structure_mor(A, x, y, src, yoneda_presheaf(A, y))
+
+
+def _structure_mor(A: MCat, x, y, src: Presheaf, yy: Presheaf) -> PresheafMor:
+    """structure_presheaf_mor with src = hom(x,y) ⊗ Y(x) and yy = Y(y) given."""
     comps = tuple(A.comp(w, x, y) for w in range(A.n_objects))
-    mor = PresheafMor(src, yy, comps)
     _guard_mor(src, yy, comps)
-    return mor
+    return PresheafMor(src, yy, comps)
 
 
 def res(G: Ext, caps: Caps = DEFAULT_CAPS) -> MFunET:
@@ -523,12 +527,16 @@ def res(G: Ext, caps: Caps = DEFAULT_CAPS) -> MFunET:
     A = G.diagram.source
     B = G.module
     n = A.n_objects
-    ob_map = tuple(G.apex(yoneda_presheaf(A, x)) for x in range(n))
+    ys = [yoneda_presheaf(A, x) for x in range(n)]
+    ob_map = tuple(G.apex(yx) for yx in ys)
     phi = {}
     for x in range(n):
         for y in range(n):
-            c = structure_presheaf_mor(A, x, y, caps)
-            cmp = G.tensor_comparison(A.hom(x, y), yoneda_presheaf(A, x))
+            # hom(x,y) ⊗ Y(x) is both the structure map's source and the
+            # weight whose colimit the tensor comparison starts from
+            src = tensor_presheaf(A.hom(x, y), ys[x], caps)
+            c = _structure_mor(A, x, y, src, ys[y])
+            cmp = G._tensor_comparison(A.hom(x, y), ys[x], src)
             if not B.is_iso(cmp):
                 raise InternalError("tensor comparison is not invertible")
             phi[(x, y)] = B.compose(G.on_mor(c), B.inverse(cmp))

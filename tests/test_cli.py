@@ -375,6 +375,87 @@ def test_wcolim_weight_failure_is_a_record(tmp_path, capsys, mutate):
     assert verdicts["Wterm*Fswap"] != "pass" and verdicts["Wyb*Farr"] == "pass"
 
 
+def test_duplicate_enriched_object_names_fail_validation(tmp_path):
+    # both names resolve to one object; the validator says so instead of
+    # reporting a hom cell the spec declares as missing
+    raw = json.loads((SPECS / "boolean_chain.json").read_text())
+    raw["enriched"]["chain2"].update(
+        objects=["a", "a"], hom=[["a", "a", "1"]], unit=[["a", "id_1"]],
+        comp=[["a", "a", "a", "id_1"]])
+    f = tmp_path / "dup.json"
+    f.write_text(json.dumps(raw))
+    record = run("validate", parse_spec(f)).records[-1]
+    assert (record.check, record.verdict) == ("validate.enriched", "fail")
+    assert record.witnesses == ["DanglingReference: duplicate object name"]
+
+
+def _finset_enriched_spec():
+    # the walking arrow x -> y ingested into finite sets by hand
+    return {
+        "enrichkit-spec": 1,
+        "monoidal": {"FS": {"carrier": "finset-product"}},
+        "enriched": {"E": {
+            "base": "FS",
+            "objects": ["x", "y"],
+            "hom": [["x", "x", 1], ["x", "y", 1], ["y", "x", 0], ["y", "y", 1]],
+            "unit": [["x", [0]], ["y", [0]]],
+            "comp": [["x", "x", "x", [0]], ["x", "x", "y", [0]], ["x", "y", "x", []],
+                     ["x", "y", "y", [0]], ["y", "x", "x", []], ["y", "x", "y", []],
+                     ["y", "y", "x", []], ["y", "y", "y", [0]]],
+        }},
+    }
+
+
+@pytest.mark.parametrize("spec, section, mutate, check, witness", [
+    pytest.param(
+        "wcolim_demo", "weight",
+        lambda raw: raw["weights"]["Wterm"]["values"].update(p=7),
+        "TypeMismatch: action component has wrong dom/cod", {"x": "p", "y": "p"},
+        id="weight-value"),
+    pytest.param(
+        "wcolim_demo", "weight",
+        lambda raw: raw["weights"]["Wyb"]["action"][1].__setitem__(2, [0, 0, 0]),
+        "TypeMismatch: action component has wrong dom/cod", {"x": "a", "y": "b"},
+        id="weight-table"),
+    pytest.param(
+        "wcolim_demo", "mfunctor",
+        lambda raw: raw["mfunctors"]["Fswap"]["phi"][1].__setitem__(2, [0, 1]),
+        "TypeMismatch: action component has wrong dom/cod", {"x": "p", "y": "q"},
+        id="mfunctor-table"),
+    pytest.param(
+        "wcolim_demo", "mfunctor",
+        lambda raw: raw["mfunctors"]["Fswap"]["phi"][0].__setitem__(2, [0, 2]),
+        "TypeMismatch: action component has wrong dom/cod", {"x": "p", "y": "p"},
+        id="mfunctor-range"),
+    pytest.param(
+        None, "enriched",
+        lambda raw: raw["enriched"]["E"]["unit"][1].__setitem__(1, [0, 0]),
+        "TypeMismatch: unit of 'y' is not a morphism 1 -> hom(x, x)", {"x": "y"},
+        id="enriched-unit"),
+    pytest.param(
+        None, "enriched",
+        lambda raw: raw["enriched"]["E"]["comp"][0].__setitem__(3, []),
+        "TypeMismatch: comp('x', 'x', 'x') has wrong dom/cod",
+        {"x": "x", "y": "x", "z": "x"},
+        id="enriched-comp"),
+])
+def test_mistyped_function_tables_fail_their_record(tmp_path, spec, section, mutate,
+                                                    check, witness):
+    # a function table that is not a map of the declared type fails its
+    # validation record with the validator's typing witness, not an error
+    raw = (json.loads((SPECS / f"{spec}.json").read_text()) if spec
+           else _finset_enriched_spec())
+    f = tmp_path / "ok.json"
+    f.write_text(json.dumps(raw))
+    assert run("validate", parse_spec(f)).failure_count == 0
+    mutate(raw)
+    f.write_text(json.dumps(raw))
+    failed = [r for r in run("validate", parse_spec(f)).records if r.verdict != "pass"]
+    assert [(r.check, r.verdict, r.witnesses) for r in failed] == [
+        (f"validate.{section}", "fail", [check])]
+    assert failed[0].details == {"witness": witness}
+
+
 def _node_paths(node, path=()):
     """The path of every node below the root of a JSON value."""
     children = (node.items() if isinstance(node, dict)

@@ -11,6 +11,7 @@ from enrichkit.corpus import (
 )
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import (
+    DanglingReference,
     EnrichedAssociativityViolation,
     EnrichedUnitViolation,
     TypeMismatch,
@@ -27,6 +28,19 @@ def test_one_object_over_s3_valid():
     B = validate_mcat(M, ["*"], {(0, 0): e}, {0: M.id_of(e)},
                       {(0, 0, 0): M.id_of(e)})
     assert B.hom(0, 0) == e
+
+
+def test_duplicate_object_names_rejected():
+    # the tables are complete over indices, so only the names are at fault
+    A = boolean_chain_mcat()
+    n = A.n_objects
+    hom = {(x, y): A.hom(x, y) for x in range(n) for y in range(n)}
+    unit = {x: A.unit(x) for x in range(n)}
+    comp = {(x, y, z): A.comp(x, y, z)
+            for x in range(n) for y in range(n) for z in range(n)}
+    assert validate_mcat(A.base, A.objects, hom, unit, comp) == A
+    with pytest.raises(DanglingReference, match="^duplicate object name$"):
+        validate_mcat(A.base, [A.objects[0]] * n, hom, unit, comp)
 
 
 def test_boolean_chain_valid():

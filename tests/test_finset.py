@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -202,3 +203,130 @@ def test_shape_mismatch_errors():
                            SkMap(SkSet(1), SkSet(3), (0,)))
     with pytest.raises(ShapeMismatch):
         SkMap(SkSet(2), SkSet(2), (0, 2))
+
+
+# --- the kernel against tuple arithmetic ---------------------------------------
+
+def tables(dom, cod):
+    """Strategy: function tables dom -> cod as tuples."""
+    if cod == 0:
+        return st.just(()) if dom == 0 else st.nothing()
+    return st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom).map(tuple)
+
+
+def fresh(dom, cod, table):
+    """A map built directly, never taken from the kernel's shared values."""
+    return SkMap(SkSet(dom), SkSet(cod), tuple(table))
+
+
+def assert_same(got, dom, cod, table):
+    want = fresh(dom, cod, table)
+    assert (got.dom.card, got.cod.card, got.table) == (dom, cod, tuple(table))
+    assert got == want and want == got
+    assert hash(got) == hash(want) == hash((want.dom, want.cod, want.table))
+
+
+def naive_coequalizer(f, g, cod):
+    """Classes by repeated merging of sets, numbered by least element."""
+    classes = [{i} for i in range(cod)]
+    for a, b in zip(f, g):
+        ca = next(c for c in classes if a in c)
+        cb = next(c for c in classes if b in c)
+        if ca is not cb:
+            classes.remove(cb)
+            ca |= cb
+    classes.sort(key=min)
+    return len(classes), tuple(next(k for k, c in enumerate(classes) if i in c)
+                               for i in range(cod))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kernel_matches_tuple_arithmetic(data):
+    card = st.integers(0, 4)
+    a, b, c, d = (data.draw(card) for _ in range(4))
+    f_t = data.draw(tables(a, b))
+    g_t = data.draw(tables(b, c))
+    h_t = data.draw(tables(c, d))
+    f, g, h = fresh(a, b, f_t), fresh(b, c, g_t), fresh(c, d, h_t)
+
+    assert_same(finset.identity(SkSet(a)), a, a, range(a))
+    assert_same(finset.compose(g, f), a, c, [g_t[i] for i in f_t])
+    assert_same(finset.compose(finset.identity(SkSet(b)), f), a, b, f_t)
+    assert_same(finset.product_map(f, h), a * c, b * d,
+                [i * d + j for i, j in itertools.product(f_t, h_t)])
+    assert_same(finset.coproduct_map([f, h]), a + c, b + d,
+                list(f_t) + [b + j for j in h_t])
+    parts = [SkSet(a), SkSet(c)]
+    assert_same(finset.injection(parts, 0), a, a + c, range(a))
+    assert_same(finset.injection(parts, 1), c, a + c, range(a, a + c))
+    k_t = data.draw(tables(c, b))
+    assert_same(finset.copair(parts, [f, fresh(c, b, k_t)]), a + c, b,
+                list(f_t) + list(k_t))
+
+    f2_t = data.draw(tables(a, b))
+    n, proj = naive_coequalizer(f_t, f2_t, b)
+    q, got = finset.coequalizer(f, fresh(a, b, f2_t))
+    assert q == SkSet(n) and hash(q) == hash(SkSet(n))
+    assert_same(got, b, n, proj)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.data())
+def test_malformed_tables_raise_the_same_messages(dom, cod, data):
+    length = data.draw(st.integers(0, 5).filter(lambda k: k != dom))
+    with pytest.raises(ShapeMismatch, match="^table length differs from dom cardinality$"):
+        SkMap(SkSet(dom), SkSet(cod), tuple(range(length)))
+    if dom:
+        table = list(data.draw(tables(dom, cod)))
+        table[data.draw(st.integers(0, dom - 1))] = data.draw(
+            st.one_of(st.integers(-5, -1), st.integers(cod, cod + 5)))
+        with pytest.raises(ShapeMismatch, match="^table entry out of codomain range$"):
+            SkMap(SkSet(dom), SkSet(cod), tuple(table))
+
+
+def test_empty_domains_still_check_shape_and_caps():
+    empty = finset.initial_map(SkSet(5))
+    assert empty.dom == SkSet(0) and empty.table == ()
+    big = finset.identity(SkSet(3))
+    with pytest.raises(Overflow):
+        finset.product_map(empty, big, Caps(max_card=10))
+    with pytest.raises(Overflow):
+        finset.product_map(big, empty, Caps(max_card=10))
+    with pytest.raises(Overflow):
+        finset.coproduct_map([empty, empty, empty], Caps(max_card=10))
+    with pytest.raises(ShapeMismatch, match="^cannot compose"):
+        finset.compose(big, empty)
+    # the same maps pass under a cap they fit
+    assert finset.product_map(empty, big).cod == SkSet(15)
+    assert finset.compose(big, finset.initial_map(SkSet(3))).cod == SkSet(3)
+
+
+def test_equality_does_not_rest_on_the_hash():
+    f = SkMap(SkSet(1), SkSet(2), (0,))
+    g = SkMap(SkSet(1), SkSet(3), (0,))
+    h = SkMap(SkSet(1), SkSet(2), (1,))
+    assert f != g and f != h
+    # force a collision: the tables and codomains still decide
+    for other in (g, h):
+        object.__setattr__(other, "_hash", hash(f))
+        assert f != other and other != f
+
+
+def test_large_cards_are_not_interned():
+    n = finset.INTERN_LIMIT + 1
+    assert finset.product(SkSet(n), SkSet(1)) == SkSet(n)
+    assert_same(finset.identity(SkSet(n)), n, n, range(n))
+    assert_same(finset.initial_map(SkSet(n)), 0, n, ())
+
+
+def test_public_functions_are_plain_functions():
+    # the benchmark counts calls per finset function by wrapping each plain
+    # function; a decorated one (lru_cache, say) would read zero calls
+    public = {name: value for name, value in vars(finset).items()
+              if not name.startswith("_") and callable(value)
+              and not inspect.isclass(value)
+              and getattr(value, "__module__", None) == finset.__name__}
+    assert {"compose", "product_map", "coequalizer", "identity"} <= set(public)
+    assert [name for name, value in public.items()
+            if not inspect.isfunction(value)] == []

@@ -1,10 +1,14 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrichkit.corpus import (
     CorpusSampler,
     boolean_chain_mcat,
     c3_one_object_mcat,
     s3_two_object_mcat,
+    z2_two_object_mcat,
 )
 from enrichkit.enriched import opposite_mcat, validate_mcat
 from enrichkit.errors import InternalError
@@ -229,6 +233,29 @@ def test_presheaf_lookup_is_structural_across_op_op():
             pscat.index_of(yoneda_presheaf(A, z))
     assert pscat.index_of(yoneda_presheaf(boolean_chain_mcat(), 0)) == \
         pscat.index_of(yoneda_presheaf(A, 0))
+
+
+SHIPPED_BASES = [boolean_chain_mcat, s3_two_object_mcat, c3_one_object_mcat,
+                 z2_two_object_mcat]
+
+
+@functools.cache
+def _pscat(k):
+    return enumerate_presheaves(SHIPPED_BASES[k]())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(SHIPPED_BASES) - 1), st.integers(0, 10 ** 6))
+def test_op_op_presheaf_is_interchangeable(k, i):
+    # P rebuilt over op(op(A)), a distinct but equal source, is P for
+    # equality, hashing and lookup
+    pscat = _pscat(k)
+    P = pscat.presheaves[i % len(pscat.presheaves)]
+    AA = opposite_mcat(opposite_mcat(pscat.source))
+    Q = validate_presheaf(AA, P.values, P.action)
+    assert Q.source is AA and AA is not pscat.source
+    assert Q == P and P == Q and hash(Q) == hash(P)
+    assert pscat.index_of(Q) == pscat.index_of(P)
 
 
 def test_yoneda_lemma_random_instances():

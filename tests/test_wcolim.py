@@ -1,10 +1,12 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from enrichkit import finset
 from enrichkit.corpus import CorpusSampler, swap_instance, terminal_weight
-from enrichkit.enriched import mcat_from_fincat, validate_mcat
+from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.finset import SkMap, SkSet
-from enrichkit.fincat import terminal_cat, walking_arrow
+from enrichkit.fincat import chain_cat, parallel_pair, terminal_cat, walking_arrow
 from enrichkit.mfunctor import check_mfun_mor, validate_mfun_et
 from enrichkit.monoidal import boolean_monoidal
 from enrichkit.presheaf import (
@@ -289,3 +291,19 @@ def test_check_equivalence_random_corpus():
         entries.append((A, F, [sampler.random_presheaf(A)]))
     rep = check_equivalence(entries)
     assert rep.passed, rep.failures
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([walking_arrow, parallel_pair, lambda: chain_cat(3)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_ext_shares_colimits_across_op_op(make_cat, seed):
+    # a weight rebuilt over op(op(A)) is the same memo key for Ext: one
+    # colimit object serves both
+    A = mcat_from_fincat(make_cat())
+    sampler = CorpusSampler(seed)
+    W = sampler.random_presheaf(A)
+    G = ext(sampler.random_diagram(A))
+    AA = opposite_mcat(opposite_mcat(A))
+    V = validate_presheaf(AA, W.values, W.action)
+    assert V.source is AA and V == W and hash(V) == hash(W)
+    assert G.colimit(V) is G.colimit(W)
