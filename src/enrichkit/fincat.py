@@ -46,6 +46,7 @@ class FinCat:
             hom.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._by_dom = _group_by_dom(len(self.objects), self.mor_dom)
+        self._hash = None
 
     @property
     def n_objects(self):
@@ -95,17 +96,11 @@ class FinCat:
     def hom(self, x, y):
         return self._hom.get((x, y), ())
 
-    def inverses(self, m):
-        """All two-sided inverses of m (empty tuple when m is not iso)."""
-        out = []
-        for w in self.hom(self.mor_cod[m], self.mor_dom[m]):
-            if (self.compose(w, m) == self.identity[self.mor_dom[m]]
-                    and self.compose(m, w) == self.identity[self.mor_cod[m]]):
-                out.append(w)
-        return tuple(out)
-
     def is_iso(self, m):
-        return bool(self.inverses(m))
+        d, c = self.mor_dom[m], self.mor_cod[m]
+        return any(self.compose(w, m) == self.identity[d]
+                   and self.compose(m, w) == self.identity[c]
+                   for w in self.hom(c, d))
 
     def composable_pairs(self):
         """All (g, f) with dom(g) = cod(f), in (f, g) scan order."""
@@ -124,44 +119,29 @@ class FinCat:
                 and self._compose == other._compose)
 
     def __hash__(self):
-        return hash((self.objects, self.mor_names, self.mor_dom, self.mor_cod,
-                     self.identity, tuple(sorted(self._compose.items()))))
+        # Computed on first use: presheaf categories are large and rarely hashed.
+        if self._hash is None:
+            self._hash = hash((self.objects, self.mor_names, self.mor_dom,
+                               self.mor_cod, self.identity,
+                               tuple(sorted(self._compose.items()))))
+        return self._hash
 
     def __repr__(self):
         return (f"FinCat({self.name!r}, {self.n_objects} objects, "
                 f"{self.n_morphisms} morphisms)")
 
 
-class Carried:
-    """Category structure delegated to ``self.carrier``: the monoidal bases
-    and the left-tensored categories are categories through their carrier."""
+CATEGORY_OPS = ("id_of", "compose", "dom", "cod", "hom", "is_iso",
+                "obj_name", "mor_name")
 
-    def id_of(self, x):
-        return self.carrier.id_of(x)
 
-    def compose(self, g, f):
-        return self.carrier.compose(g, f)
-
-    def dom(self, m):
-        return self.carrier.dom(m)
-
-    def cod(self, m):
-        return self.carrier.cod(m)
-
-    def hom(self, x, y):
-        return self.carrier.hom(x, y)
-
-    def is_iso(self, m):
-        return self.carrier.is_iso(m)
-
-    def inverses(self, m):
-        return self.carrier.inverses(m)
-
-    def obj_name(self, x):
-        return self.carrier.obj_name(x)
-
-    def mor_name(self, m):
-        return self.carrier.mor_name(m)
+def bind_carrier(obj, carrier):
+    """Make obj a category through carrier: set ``obj.carrier`` and bind
+    the carrier's category operations onto obj.  The monoidal bases and the
+    left-tensored categories call this at construction."""
+    obj.carrier = carrier
+    for op in CATEGORY_OPS:
+        setattr(obj, op, getattr(carrier, op))
 
 
 def validate_fincat(objects, morphisms, compose, identity=None, name="",
@@ -183,20 +163,21 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     obj_index = {n: i for i, n in enumerate(objects)}
 
     mor_names, mor_dom, mor_cod = [], [], []
+    mor_index = {}
     for entry in morphisms:
         mname, d, c = entry
-        if mname in mor_names:
+        if mname in mor_index:
             raise DanglingReference(f"duplicate morphism name {mname!r}")
         if d not in obj_index:
             raise DanglingReference(f"morphism {mname!r}: unknown dom {d!r}")
         if c not in obj_index:
             raise DanglingReference(f"morphism {mname!r}: unknown cod {c!r}")
+        mor_index[mname] = len(mor_names)
         mor_names.append(mname)
         mor_dom.append(obj_index[d])
         mor_cod.append(obj_index[c])
     if len(mor_names) > caps.max_morphisms:
         raise SizeBound(f"{len(mor_names)} morphisms exceeds cap {caps.max_morphisms}")
-    mor_index = {n: i for i, n in enumerate(mor_names)}
 
     comp = {}
     for g, f, gf in compose:
@@ -347,12 +328,6 @@ class FinFunctor:
     target: FinCat
     ob_map: tuple
     mor_map: tuple
-
-    def apply_ob(self, x):
-        return self.ob_map[x]
-
-    def apply_mor(self, m):
-        return self.mor_map[m]
 
 
 def fin_functor(source: FinCat, target: FinCat, ob_map, mor_map) -> FinFunctor:

@@ -151,14 +151,6 @@ def unpair(p: int, y: SkSet):
     return divmod(p, y.card)
 
 
-def proj1(x: SkSet, y: SkSet) -> SkMap:
-    return SkMap(product(x, y), x, tuple(i for i in range(x.card) for _ in range(y.card)))
-
-
-def proj2(x: SkSet, y: SkSet) -> SkMap:
-    return SkMap(product(x, y), y, tuple(j for _ in range(x.card) for j in range(y.card)))
-
-
 def product_map(f: SkMap, g: SkMap, caps: Caps = DEFAULT_CAPS) -> SkMap:
     """f x g on the pair encoding (f acts on the left factor)."""
     dom = product(f.dom, g.dom, caps)
@@ -250,15 +242,6 @@ def coequalizer(f: SkMap, g: SkMap):
     return proj.cod, proj
 
 
-def class_representatives(proj: SkMap):
-    """Minimal representative per class, indexed by class number."""
-    reps = [None] * proj.cod.card
-    for i, c in enumerate(proj.table):
-        if reps[c] is None:
-            reps[c] = i
-    return reps
-
-
 def factor_through_coequalizer(proj: SkMap, h: SkMap):
     """The unique u with u∘proj = h, or None when h is not constant on classes."""
     if h.dom != proj.dom:
@@ -299,15 +282,11 @@ class SkSetCat:
     monoidal/enriched layers expect.  Objects are not enumerable; hom-sets
     are finite and enumerated on demand."""
 
-    is_finite = False
-
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self.caps = caps
 
-    def identity(self, x):
+    def id_of(self, x):
         return identity(x)
-
-    id_of = identity
 
     def compose(self, g, f):
         return compose(g, f)
@@ -323,9 +302,6 @@ class SkSetCat:
 
     def is_iso(self, m):
         return is_bijection(m)
-
-    def inverses(self, m):
-        return (inverse(m),) if is_bijection(m) else ()
 
     def obj_name(self, x):
         return f"card{x.card}"

@@ -38,7 +38,10 @@ class MFunTT:
 
 
 class MFunET:
-    """Validated enriched-to-tensored functor; construct via validate_mfun_et."""
+    """Validated enriched-to-tensored functor; construct via validate_mfun_et.
+
+    Equality and hash are structural over (source, ob_map, phi); the name
+    and the target are ignored."""
 
     def __init__(self, source, target, ob_map, phi, name=""):
         self.source = source
@@ -46,15 +49,16 @@ class MFunET:
         self.ob_map = tuple(ob_map)
         self.phi = dict(phi)
         self.name = name
-
-    def value(self, x):
-        return self.ob_map[x]
+        self._hash = hash((source, self.ob_map, frozenset(self.phi.items())))
 
     def __eq__(self, other):
         if not isinstance(other, MFunET):
             return NotImplemented
         return (self.source == other.source and self.ob_map == other.ob_map
                 and self.phi == other.phi)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"MFunET({self.name or self.ob_map!r})"

@@ -5,6 +5,12 @@ hold as table equalities, which is what lets every later check compare
 morphisms with ``==`` instead of chasing coherence isomorphisms.  The
 opposite structure swaps the tensor arguments and is an involution on the
 nose.
+
+Both backends are categories through their carrier (``bind_carrier``) and
+add ``unit``, ``tensor_ob`` and ``tensor_mor``; the finite one also lists
+``objects()`` and ``morphisms()``.  Downstream code only calls these, so
+enriched categories, modules and presheaves work identically over finite
+tables and over skeletal finite sets.
 """
 
 import itertools
@@ -19,43 +25,22 @@ from .errors import (
     MissingComposite,
     UnitViolation,
 )
-from .fincat import Carried, FinCat, discrete_cat, validate_fincat
+from .fincat import FinCat, bind_carrier, discrete_cat, validate_fincat
 from .finset import SkSet, SkSetCat
 
 
-class MonStrBase(Carried):
-    """Interface shared by both monoidal backends.
-
-    Downstream code only ever calls these methods, so enriched categories,
-    modules and presheaves work identically over finite tables and over
-    skeletal finite sets.
-    """
-
-    def objects(self):
-        raise NotImplementedError
-
-    def morphisms(self):
-        raise NotImplementedError
-
-    def tensor_ob(self, a, b):
-        raise NotImplementedError
-
-    def tensor_mor(self, u, v):
-        """u ⊗ v, first argument on the left."""
-        raise NotImplementedError
-
-
-class MonStr(MonStrBase):
+class MonStr:
     """Table-backed strict monoidal structure on a finite carrier."""
 
     is_finite = True
 
     def __init__(self, carrier: FinCat, unit, tensor_ob_table, tensor_mor_table, name=""):
-        self.carrier = carrier
+        bind_carrier(self, carrier)
         self.unit = unit
         self._tob = dict(tensor_ob_table)
         self._tmor = dict(tensor_mor_table)
         self.name = name or carrier.name
+        self._hash = None
 
     def objects(self):
         return range(self.carrier.n_objects)
@@ -78,15 +63,17 @@ class MonStr(MonStrBase):
                 and self._tob == other._tob and self._tmor == other._tmor)
 
     def __hash__(self):
-        return hash((self.carrier, self.unit,
-                     tuple(sorted(self._tob.items())),
-                     tuple(sorted(self._tmor.items()))))
+        if self._hash is None:
+            self._hash = hash((self.carrier, self.unit,
+                               tuple(sorted(self._tob.items())),
+                               tuple(sorted(self._tmor.items()))))
+        return self._hash
 
     def __repr__(self):
         return f"MonStr({self.name!r})"
 
 
-class SkSetMonStr(MonStrBase):
+class SkSetMonStr:
     """Skeletal finite sets under product or coproduct.
 
     The opposite structure only flips the tensor argument order; objects are
@@ -101,7 +88,7 @@ class SkSetMonStr(MonStrBase):
         self.kind = kind
         self.flipped = flipped
         self.caps = caps
-        self.carrier = SkSetCat(caps)
+        bind_carrier(self, SkSetCat(caps))
         self.unit = SkSet(1) if kind == "product" else SkSet(0)
         self.name = f"finset-{kind}" + ("-op" if flipped else "")
 

@@ -44,9 +44,6 @@ class Presheaf:
         self._key = (source, self.values, tuple(sorted(self.action.items())))
         self._hash = hash(self._key)
 
-    def value(self, x):
-        return self.values[x]
-
     def __eq__(self, other):
         if not isinstance(other, Presheaf):
             return NotImplemented

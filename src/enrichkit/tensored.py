@@ -4,6 +4,10 @@ Unitality is demanded on the nose, so the automatic-unit arguments of the
 functor layer are checkable as equalities.  ``hom_object`` searches the
 finite base for an object representing m -> Hom(m ⊗ x, y); when the functor
 is not representable it returns None rather than failing.
+
+A left-tensored category is a category through its carrier
+(``bind_carrier``) plus its ``base`` and the action ``act_ob``/``act_mor``;
+the validators and the functor layer only use these.
 """
 
 import itertools
@@ -16,33 +20,15 @@ from .errors import (
     ModuleLawViolation,
     UnitActionViolation,
 )
-from .fincat import Carried, FinCat
+from .fincat import FinCat, bind_carrier
 
 
-class LTensored(Carried):
-    """Interface of a left-tensored category.
-
-    Implementations provide act_ob/act_mor and a carrier; the
-    validators and the functor layer only use these methods.
-    """
-
-    def act_ob(self, m, b):
-        raise NotImplementedError
-
-    def act_mor(self, u, h):
-        raise NotImplementedError
-
-    @property
-    def is_finite(self):
-        return isinstance(self.carrier, FinCat)
-
-
-class TableModule(LTensored):
+class TableModule:
     """Finite module from explicit action tables; construct via validate_module."""
 
     def __init__(self, base, carrier, act_ob_table, act_mor_table, name=""):
         self.base = base
-        self.carrier = carrier
+        bind_carrier(self, carrier)
         self._aob = dict(act_ob_table)
         self._amor = dict(act_mor_table)
         self.name = name
@@ -57,19 +43,15 @@ class TableModule(LTensored):
         return f"TableModule({self.name!r})"
 
 
-class TensorModule(LTensored):
+class TensorModule:
     """The base acting on itself by its own tensor."""
 
     def __init__(self, base):
         self.base = base
-        self.carrier = base.carrier
+        bind_carrier(self, base.carrier)
+        self.act_ob = base.tensor_ob
+        self.act_mor = base.tensor_mor
         self.name = base.name + "-self"
-
-    def act_ob(self, m, b):
-        return self.base.tensor_ob(m, b)
-
-    def act_mor(self, u, h):
-        return self.base.tensor_mor(u, h)
 
     def __repr__(self):
         return f"TensorModule({self.name!r})"
@@ -183,7 +165,7 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="",
     return TableModule(base, carrier, aob, amor, name=name)
 
 
-def check_module_probes(mod: LTensored, max_card=3):
+def check_module_probes(mod, max_card=3):
     """Probe validation for modules over the finite-sets base."""
     from . import finset
 
@@ -212,7 +194,7 @@ def check_module_probes(mod: LTensored, max_card=3):
     return checked
 
 
-def hom_object(mod: LTensored, x, y, caps: Caps = DEFAULT_CAPS):
+def hom_object(mod, x, y, caps: Caps = DEFAULT_CAPS):
     """First representing object (declaration order) for m -> Hom(m⊗x, y).
 
     Returns (h, universal map act(h, x) -> y) or None.  Universality means
@@ -223,7 +205,7 @@ def hom_object(mod: LTensored, x, y, caps: Caps = DEFAULT_CAPS):
     return found[0] if found else None
 
 
-def hom_object_all(mod: LTensored, x, y, caps: Caps = DEFAULT_CAPS):
+def hom_object_all(mod, x, y, caps: Caps = DEFAULT_CAPS):
     """All representing objects with one universal map each."""
     base = mod.base
     out = []
@@ -247,7 +229,7 @@ def _is_universal(mod, x, y, h, u):
     return True
 
 
-def check_hom_object_naturality(mod: LTensored, x, y, h, u):
+def check_hom_object_naturality(mod, x, y, h, u):
     """Naturality of the representing bijection in m, over every base morphism.
 
     This holds automatically from bifunctoriality of the action; the check

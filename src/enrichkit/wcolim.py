@@ -1,9 +1,20 @@
-"""Weighted colimits over the finite-sets base and the Ext/Res pair.
+"""Weighted colimits in a cocomplete left-tensored category, and Ext/Res.
 
 A weighted colimit is computed by its coproduct-and-coequalizer
-presentation: the relation object sums act(W(y) ⊗ hom(x,y), F(x)) over all
-pairs, mapped into the sum of act(W(x), F(x)) by the weight-action side and
-the diagram-action side; the coequalizer is canonical (union-find, minimal
+presentation (Kelly 1982, §3.3-3.4): the relation object sums
+act(W(y) ⊗ hom(x,y), F(x)) over all pairs, mapped into the sum of
+act(W(x), F(x)) by the weight-action side and the diagram-action side.
+
+The generic functions use only two interfaces.  A base provides the
+category operations bound from its carrier (``id_of``, ``compose``,
+``dom``, ``cod``, ``hom``, ``is_iso``, ``obj_name``, ``mor_name``) plus
+``unit``, ``tensor_ob`` and ``tensor_mor``.  A cocomplete target provides
+the same category operations and its ``base``, and adds
+``act_ob``/``act_mor``, ``coproduct``, ``copair``, ``coequalizer``,
+``factor``, ``inverse`` (of a map ``is_iso`` accepts) and
+``jointly_surjective``.  Two targets are provided: finite sets acting on
+themselves, and the pointwise presheaf module over an ingested finite
+category; their coequalizers are canonical (union-find, minimal
 representatives), so identical inputs produce identical tables.
 
 Colimit-preserving functors out of a presheaf category exist only in the
@@ -11,9 +22,6 @@ intensional normal form ``Ext(F)``: a value evaluable on weights, weight
 morphisms and tensors.  ``res`` recovers the generating functor, and
 ``check_equivalence`` tests the round trips and colimit preservation that
 make the pair an equivalence at desk scale.
-
-Two cocomplete targets are provided: finite sets acting on themselves, and
-the pointwise presheaf module over an ingested finite category.
 """
 
 import random
@@ -70,9 +78,6 @@ class FinSetModule(TensorModule):
             covered.update(m.table)
         return len(covered) == target.card
 
-    def obj_card(self, b):
-        return b.card
-
 
 class PresheafModule:
     """P of an ingested finite category, left-tensored pointwise over
@@ -116,9 +121,6 @@ class PresheafModule:
     def mor_name(self, t):
         return "presheaf-mor"
 
-    def obj_card(self, p):
-        return tuple(v.card for v in p.values)
-
     # -- tensoring
     def act_ob(self, m, p):
         return tensor_presheaf(m, p, self.caps)
@@ -135,21 +137,11 @@ class PresheafModule:
         n = A.n_objects
         parts = [[p.values[x] for p in objs] for x in range(n)]
         values = [finset.coproduct(parts[x], self.caps) for x in range(n)]
-        action = {}
-        for x in range(n):
-            for y in range(n):
-                h = A.hom(x, y)
-                dom = finset.product(values[y], h, self.caps)
-                offs_y = finset.offsets(parts[y])
-                offs_x = finset.offsets(parts[x])
-                table = []
-                for pel in range(dom.card):
-                    s, hel = finset.unpair(pel, h)
-                    i = _part_of(offs_y, parts[y], s)
-                    local = s - offs_y[i]
-                    v = objs[i].action[(x, y)].table[finset.pair(local, hel, h)]
-                    table.append(offs_x[i] + v)
-                action[(x, y)] = SkMap(dom, values[x], tuple(table))
+        # (Σ P_i(y)) × hom(x,y) is Σ (P_i(y) × hom(x,y)) in summand order on
+        # the pair encoding, so the action is the coproduct of the actions.
+        action = {(x, y): finset.coproduct_map([p.action[(x, y)] for p in objs],
+                                               self.caps)
+                  for x in range(n) for y in range(n)}
         total = validate_presheaf(A, values, action)
         injs = []
         for i in range(len(objs)):
@@ -184,26 +176,18 @@ class PresheafModule:
             _, proj = finset.coequalizer(f.components[x], g.components[x])
             projs.append(proj)
         values = [p.cod for p in projs]
+        # × hom(x,y) preserves the coequalizer, and factor picks the minimal
+        # representative of each class, as the canonical coequalizer does.
         action = {}
         for x in range(n):
             for y in range(n):
                 h = A.hom(x, y)
-                dom = finset.product(values[y], h, self.caps)
-                reps = finset.class_representatives(projs[y])
-                table = []
-                for pel in range(dom.card):
-                    c, hel = finset.unpair(pel, h)
-                    r = reps[c]
-                    v = projs[x].table[G.action[(x, y)].table[finset.pair(r, hel, h)]]
-                    table.append(v)
-                # induced action must be independent of the representative
-                for gel in range(G.values[y].card):
-                    for hel in range(h.card):
-                        got = projs[x].table[G.action[(x, y)].table[finset.pair(gel, hel, h)]]
-                        want = table[finset.pair(projs[y].table[gel], hel, h)]
-                        if got != want:
-                            raise InternalError("coequalizer action not well defined")
-                action[(x, y)] = SkMap(dom, values[x], tuple(table))
+                u = finset.factor_through_coequalizer(
+                    finset.product_map(projs[y], finset.identity(h), self.caps),
+                    finset.compose(projs[x], G.action[(x, y)]))
+                if u is None:
+                    raise InternalError("coequalizer action not well defined")
+                action[(x, y)] = u
         Q = validate_presheaf(A, values, action)
         proj = PresheafMor(G, Q, tuple(projs))
         _guard_mor(G, Q, proj.components)
@@ -228,13 +212,6 @@ class PresheafModule:
             if len(covered) != target.values[x].card:
                 return False
         return True
-
-
-def _part_of(offs, parts, s):
-    for i in range(len(offs) - 1, -1, -1):
-        if s >= offs[i]:
-            return i
-    raise InternalError("coproduct offset lookup failed")
 
 
 def _guard_mor(src, tgt, comps):
@@ -298,7 +275,7 @@ def weighted_colimit(W: Presheaf, F: MFunET, B=None) -> WColimit:
                                    B.act_mor(W.action[(x, y)], B.id_of(F.ob_map[x]))))
         # diagram side: act(id_{W(y)}, phi) then include at y
         right_legs.append(B.compose(injs[y],
-                                    B.act_mor(finset.identity(W.values[y]), F.phi[(x, y)])))
+                                    B.act_mor(base.id_of(W.values[y]), F.phi[(x, y)])))
     d0 = B.copair(rel_parts, left_legs, S)
     d1 = B.copair(rel_parts, right_legs, S)
     Z, proj = B.coequalizer(d0, d1)
@@ -384,11 +361,10 @@ def hom_diagram(A: MCat, w, caps: Caps = DEFAULT_CAPS) -> MFunET:
                             caps=caps)
 
 
-def _curry_action(action: SkMap, right: SkSet, u: int) -> SkMap:
-    """Fix the right argument of a map out of a product encoding."""
-    a = SkSet(action.dom.card // right.card) if right.card else SkSet(0)
-    return SkMap(a, action.cod,
-                 tuple(action.table[finset.pair(i, u, right)] for i in range(a.card)))
+def _restrict(base, action, left, pt):
+    """action ∘ (id_left ⊗ pt): a map out of left ⊗ r restricted along a
+    point pt: 1 -> r of its right argument."""
+    return base.compose(action, base.tensor_mor(base.id_of(left), pt))
 
 
 @dataclass(frozen=True)
@@ -406,6 +382,7 @@ def canonical_presentation(F: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presentati
     colimit of x -> hom(w, x) with weight F is naturally isomorphic to F(w),
     via the mediator of the canonical cocone built from F's own actions."""
     A = F.source
+    base = A.base
     B = FinSetModule(caps)
     n = A.n_objects
     failures = []
@@ -418,26 +395,26 @@ def canonical_presentation(F: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presentati
         beta = mediate(wc, legs, F.values[w], B)
         colimits.append(wc)
         comparisons.append(beta)
-        if beta is None or not finset.is_bijection(beta):
+        if beta is None or not B.is_iso(beta):
             failures.append({"w": A.obj_name(w), "kind": "not-bijective"})
 
     if not failures:
         for w in range(n):
             for wp in range(n):
-                hwpw = A.hom(wp, w)
-                for u in range(hwpw.card):
+                # the points of hom(w', w) in order, so u is the index
+                for u, pt in enumerate(base.hom(base.unit, A.hom(wp, w))):
                     # restriction along u on the colimit side
                     legs = []
                     for x in range(n):
-                        pre = _curry_action(A.comp(wp, w, x), hwpw, u)
-                        legs.append(finset.compose(
+                        pre = _restrict(base, A.comp(wp, w, x), A.hom(w, x), pt)
+                        legs.append(B.compose(
                             colimits[wp].cocone.legs[x],
-                            finset.product_map(finset.identity(F.values[x]), pre)))
+                            B.act_mor(base.id_of(F.values[x]), pre)))
                     zmap = mediate(colimits[w], tuple(legs),
                                    colimits[wp].apex, B)
-                    fmap = _curry_action(F.action[(wp, w)], hwpw, u)
-                    lhs = finset.compose(comparisons[wp], zmap)
-                    rhs = finset.compose(fmap, comparisons[w])
+                    fmap = _restrict(base, F.action[(wp, w)], F.values[w], pt)
+                    lhs = B.compose(comparisons[wp], zmap)
+                    rhs = B.compose(fmap, comparisons[w])
                     if lhs != rhs:
                         failures.append({"w": A.obj_name(w), "w'": A.obj_name(wp),
                                          "u": u, "kind": "naturality"})
@@ -485,17 +462,17 @@ class Ext:
             self._mors[key] = u
         return self._mors[key]
 
-    def tensor_comparison(self, m: SkSet, W: Presheaf):
+    def tensor_comparison(self, m, W: Presheaf):
         """The canonical map colim_{m⊗W}(F) -> act(m, colim_W(F)); an
         isomorphism because the tensor preserves colimits in each argument."""
         return self._tensor_comparison(m, W, tensor_presheaf(m, W))
 
-    def _tensor_comparison(self, m: SkSet, W: Presheaf, mW: Presheaf):
+    def _tensor_comparison(self, m, W: Presheaf, mW: Presheaf):
         B = self.module
         F = self.diagram
         src = self.colimit(mW)
         base_wc = self.colimit(W)
-        legs = tuple(B.act_mor(finset.identity(m), base_wc.cocone.legs[x])
+        legs = tuple(B.act_mor(F.source.base.id_of(m), base_wc.cocone.legs[x])
                      for x in range(F.source.n_objects))
         u = mediate(src, legs, B.act_ob(m, base_wc.apex), B)
         if u is None:
@@ -665,7 +642,7 @@ def _comparison(G: Ext, Gp: Ext, mu, W: Presheaf, B):
     n = W.source.n_objects
     legs = tuple(
         B.compose(tgt.cocone.legs[x],
-                  B.act_mor(finset.identity(W.values[x]), mu[x]))
+                  B.act_mor(W.source.base.id_of(W.values[x]), mu[x]))
         for x in range(n))
     return mediate(src, legs, tgt.apex, B)
 

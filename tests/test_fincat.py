@@ -97,6 +97,22 @@ def test_dangling_reference():
         validate_fincat(["a"], [("id_a", "a", "b")], [], identity={"a": "id_a"})
 
 
+def test_duplicate_morphism_name():
+    with pytest.raises(DanglingReference) as exc:
+        validate_fincat(["a"], [("id_a", "a", "a"), ("f", "a", "a"),
+                                ("g", "a", "a"), ("f", "a", "a"),
+                                ("g", "a", "a")],
+                        [], identity={"a": "id_a"})
+    assert str(exc.value) == "duplicate morphism name 'f'"
+
+
+def test_hash_is_structural_and_stable():
+    c, d = chain_cat(3), chain_cat(3)
+    assert c is not d and c == d
+    assert hash(c) == hash(d) == hash(c)
+    assert len({c, d, loop_cat(3)}) == 2
+
+
 def test_ill_typed_composite():
     with pytest.raises(IllTypedComposite):
         validate_fincat(

@@ -189,3 +189,20 @@ def test_unit_automatism_zero_on_boolean_chain():
     candidates, violations, _ = measure_unit_automatism(A, base_as_module(A.base))
     assert candidates >= 3
     assert violations == 0
+
+
+def test_mfun_et_value_semantics():
+    """Equal functors built separately are one value: equal, same hash, one
+    set entry, whatever their names."""
+    def build(name):
+        A = boolean_chain_mcat()
+        return validate_mfun_et(A, base_as_module(A.base),
+                                [A.hom(0, 0), A.hom(0, 1)],
+                                {(x, y): A.comp(0, x, y)
+                                 for x in range(2) for y in range(2)},
+                                name=name)
+
+    f, g = build("f"), build("g")
+    assert f is not g and f == g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
