@@ -386,6 +386,10 @@ class Builder:
         return validate_mcat(base, decl.objects, hom, unit, comp,
                              name=name, caps=self.caps)
 
+    @_built("enriched")
+    def presheaf_category(self, decl, name):
+        return enumerate_presheaves(self.enriched(name), self.caps)
+
     @_built("modules")
     def module(self, decl, name):
         base = self.monoidal(decl.base)
@@ -567,7 +571,7 @@ def _cat_details(cat):
 def _cmd_presheaves(report, builder):
     for name in builder.spec.enriched:
         def check(name=name):
-            pscat = enumerate_presheaves(builder.enriched(name), builder.caps)
+            pscat = builder.presheaf_category(name)
             values = [[builder.enriched(name).base.obj_name(v) for v in p.values]
                       for p in pscat.presheaves]
             return _ok({"count": len(pscat.presheaves),
@@ -580,7 +584,7 @@ def _cmd_presheaves(report, builder):
 def _cmd_yoneda(report, builder):
     for name in builder.spec.enriched:
         def lemma(name=name):
-            pscat = enumerate_presheaves(builder.enriched(name), builder.caps)
+            pscat = builder.presheaf_category(name)
             rep = check_yoneda_lemma(pscat)
             verdict = "pass" if rep.passed else "fail"
             return verdict, [str(f) for f in rep.failures], {
@@ -591,7 +595,7 @@ def _cmd_yoneda(report, builder):
         _run_record(report, "yoneda.lemma", name, lemma)
 
         def faithful(name=name):
-            pscat = enumerate_presheaves(builder.enriched(name), builder.caps)
+            pscat = builder.presheaf_category(name)
             rep = check_fully_faithful(pscat, builder.caps)
             verdict = "pass" if rep.passed else "fail"
             return verdict, [str(f) for f in rep.failures], {

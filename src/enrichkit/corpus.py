@@ -43,6 +43,9 @@ from .tensored import validate_module
 from .wcolim import FinSetModule
 
 
+PRESHEAF_BUDGET = 400  # random enriched categories with more are rejected
+MAX_CARD = 3  # random presheaf and diagram values have cards 1..MAX_CARD
+
 S3_ELEMENTS = ["e", "s12", "s13", "s23", "r123", "r132"]
 S3_TABLE_ROWS = {
     "e": ["e", "s12", "s13", "s23", "r123", "r132"],
@@ -258,7 +261,7 @@ class CorpusSampler:
                                                 name=f"random-monoid{n}")
 
     # -- enriched categories
-    def random_mcat(self, M, max_objects=3, presheaf_budget=400):
+    def random_mcat(self, M):
         """Rejection sampling over hom/unit/comp tables; returns the
         accepted MCat together with its presheaf enumeration.
 
@@ -309,7 +312,7 @@ class CorpusSampler:
                 pscat = enumerate_presheaves(A, self.caps)
             except SizeBound:
                 continue
-            if len(pscat.presheaves) > presheaf_budget:
+            if len(pscat.presheaves) > PRESHEAF_BUDGET:
                 continue
             self.mcat_stats.accepted += 1
             return A, pscat
@@ -331,18 +334,18 @@ class CorpusSampler:
             return loop_cat(2)
         return loop_cat(3)
 
-    def random_presheaf(self, A: MCat, max_card=3):
+    def random_presheaf(self, A: MCat):
         """Random presheaf; the terminal weight when no draw succeeds."""
         def problem(values):
             unit, compat = presheaf_laws(A, values)
             return presheaf_cands(A, values), unit + compat
 
-        found = self._draw(A, max_card, problem, self.presheaf_stats)
+        found = self._draw(A, problem, self.presheaf_stats)
         if found is None:
             return terminal_weight(A)
         return validate_presheaf(A, *found)
 
-    def random_diagram(self, A: MCat, max_card=3) -> MFunET:
+    def random_diagram(self, A: MCat) -> MFunET:
         """Random enriched-to-tensored functor into finite sets; when no
         draw succeeds, the terminal diagram (each action the one map into a
         point)."""
@@ -352,7 +355,7 @@ class CorpusSampler:
             compat, unit = mfun_et_laws(A, B, vals)
             return mfun_et_cands(A, B, vals), compat + unit
 
-        found = self._draw(A, max_card, problem, self.diagram_stats)
+        found = self._draw(A, problem, self.diagram_stats)
         if found is not None:
             return validate_mfun_et(A, B, *found, name="random-diagram",
                                     caps=self.caps)
@@ -361,14 +364,14 @@ class CorpusSampler:
         return validate_mfun_et(A, B, vals, phi, name="terminal-diagram",
                                 caps=self.caps)
 
-    def _draw(self, A, max_card, problem, stats):
-        """Up to 64 attempts: value cards drawn uniformly in 1..max_card,
+    def _draw(self, A, problem, stats):
+        """Up to 64 attempts: value cards drawn uniformly in 1..MAX_CARD,
         then the first solution of problem(values) = (candidates per slot,
         law table), each slot's candidates shuffled once, in slot order.
         Returns (values, actions), or None after counting a fallback."""
         for _ in range(64):
             stats.attempts += 1
-            values = [SkSet(self.rng.randrange(1, max_card + 1))
+            values = [SkSet(self.rng.randrange(1, MAX_CARD + 1))
                       for _ in range(A.n_objects)]
             cands, laws = problem(values)
             for slot_cands in cands.values():

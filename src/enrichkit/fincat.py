@@ -21,7 +21,7 @@ from .errors import (
     SizeBound,
     UnitViolation,
 )
-from .search import backtrack, bounded_plans, failures
+from .search import backtrack, bounded_plans, failures, guard_space, search_space
 
 
 class FinCat:
@@ -262,35 +262,39 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     return FinCat(name, objects, mor_names, mor_dom, mor_cod, ident, comp)
 
 
-def component_category(n_objects, morphisms, identities, carrier: FinCat,
-                       obj_prefix, mor_prefix, name, caps: Caps = DEFAULT_CAPS) -> FinCat:
-    """The validated category of component tuples: objects 0..n_objects-1,
-    morphisms families of carrier morphisms composed componentwise.
-
-    morphisms:  (source index, target index, component tuple) per morphism,
-                each listed once.
-    identities: the identity component tuple of each object.
-    Objects and morphisms are named by prefix and index, so reports on the
-    result are deterministic.
+def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
+                    mor_prefix, name, caps: Caps = DEFAULT_CAPS):
+    """(validated FinCat, [(i, j, components)]): morphisms objs[i] -> objs[j]
+    are the tuples of ``cat`` morphisms values(f)[x] -> values(g)[x] passing
+    square_laws(f, g), composed componentwise; each pair's search space is
+    capped (as ``what``) before it is searched.  Objects and morphisms are
+    named by prefix and index, so reports on the result are deterministic.
     """
-    obj_names = [f"{obj_prefix}{i}" for i in range(n_objects)]
+    morphisms, into = [], [[] for _ in objs]
+    for i, f in enumerate(objs):
+        for j, g in enumerate(objs):
+            cands = {x: list(cat.hom(a, b))
+                     for x, (a, b) in enumerate(zip(values(f), values(g)))}
+            guard_space(max(search_space(cands), 1), caps, what)
+            for asg in backtrack(cands, square_laws(f, g)):
+                into[j].append(len(morphisms))
+                morphisms.append((i, j, tuple(asg[x] for x in cands)))
+
+    obj_names = [f"{obj_prefix}{i}" for i in range(len(objs))]
     mor_names = [f"{mor_prefix}{k}" for k in range(len(morphisms))]
     lookup = {m: k for k, m in enumerate(morphisms)}
-    identity = {obj_names[i]: mor_names[lookup[(i, i, idc)]]
-                for i, idc in enumerate(identities)}
-    into = [[] for _ in range(n_objects)]
-    for k, (_, j, _) in enumerate(morphisms):
-        into[j].append(k)
+    identity = {obj_names[i]: mor_names[lookup[(i, i, tuple(map(cat.id_of, values(f))))]]
+                for i, f in enumerate(objs)}
     compose = []
     for k2, (i2, j2, c2) in enumerate(morphisms):
         for k1 in into[i2]:
             i1, _, c1 = morphisms[k1]
-            gf = lookup[(i1, j2, tuple(carrier.compose_all(c2, c1)))]
+            gf = lookup[(i1, j2, tuple(cat.compose_all(c2, c1)))]
             compose.append((mor_names[k2], mor_names[k1], mor_names[gf]))
     mor_decls = [(mor_names[k], obj_names[i], obj_names[j])
                  for k, (i, j, _) in enumerate(morphisms)]
     return validate_fincat(obj_names, mor_decls, compose, identity,
-                           name=name, caps=caps)
+                           name=name, caps=caps), morphisms
 
 
 def _group_by_dom(n_objects, mor_dom):

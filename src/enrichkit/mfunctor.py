@@ -20,11 +20,10 @@ from .errors import (
     NaturalityViolation,
     ShapeMismatch,
     SizeBound,
-    TypeMismatch,
     UnitActionViolation,
 )
-from .fincat import FinCat, FinFunctor, component_category, fin_functor
-from .search import backtrack, bounded_plans, failures, guard_space, search_space
+from .fincat import FinCat, FinFunctor, family_category, fin_functor
+from .search import backtrack, bounded_plans, check_family, failures, mor_failures
 
 
 class MFunTT:
@@ -141,28 +140,13 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
     """
     if source.base != target.base:
         raise ShapeMismatch("enriched source and tensored target disagree on the base")
-    n = source.n_objects
     ob_map = tuple(ob_map)
     phi = dict(phi)
-
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in phi:
-                raise TypeMismatch("missing action component",
-                                   witness=source.cell_names((x, y)))
-            p = phi[(x, y)]
-            want_dom = target.act_ob(source.hom(x, y), ob_map[x])
-            if target.dom(p) != want_dom or target.cod(p) != ob_map[y]:
-                raise TypeMismatch("action component has wrong dom/cod",
-                                   witness=source.cell_names((x, y)))
-
     compat, unit = mfun_et_laws(source, target, ob_map)
-    for error, message, laws in (
-            (CompatibilityViolation, "compatibility square fails", compat),
-            (UnitActionViolation, "unit action is not the identity", unit)):
-        for cell in failures(laws, phi):
-            raise error(message, witness=source.cell_names(cell))
-
+    check_family(target, mfun_et_slots(source, target, ob_map), phi, (
+        (CompatibilityViolation, "compatibility square fails", compat),
+        (UnitActionViolation, "unit action is not the identity", unit)),
+        source.cell_names)
     return MFunET(source, target, ob_map, phi, name=name)
 
 
@@ -210,24 +194,23 @@ def mfun_square_laws(f: MFunET, g: MFunET):
 
 
 def check_mfun_mor(f: MFunET, g: MFunET, components):
-    """Compatibility of a component family with the two action structures.
-    Returns a list of failure witnesses (empty = valid)."""
-    source, target = f.source, f.target
-    ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
-                 for x in range(source.n_objects)
-                 if (target.dom(components[x]) != f.ob_map[x]
-                     or target.cod(components[x]) != g.ob_map[x])]
-    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
-                         for cell in failures(mfun_square_laws(f, g), components)]
+    """Witness list for the morphism square; empty means valid."""
+    return mor_failures(f.source, f.target, f.ob_map, g.ob_map,
+                        mfun_square_laws(f, g), components)
+
+
+def mfun_et_slots(source, target, ob_map):
+    """(slot, (dom, cod)) per action slot (x, y), in slot order: the action
+    map act(hom(x,y), ob_map[x]) -> ob_map[y]."""
+    xs = range(source.n_objects)
+    return (((x, y), (target.act_ob(source.hom(x, y), ob_map[x]), ob_map[y]))
+            for x in xs for y in xs)
 
 
 def mfun_et_cands(source, target, ob_map):
-    """The type-correct action maps per slot (x, y), in slot order: target
-    morphisms act(hom(x,y), ob_map[x]) -> ob_map[y]."""
-    n = source.n_objects
-    return {(x, y): list(target.hom(target.act_ob(source.hom(x, y), ob_map[x]),
-                                    ob_map[y]))
-            for x in range(n) for y in range(n)}
+    """The type-correct action maps per slot, in slot order."""
+    return {slot: list(target.hom(dom, cod))
+            for slot, (dom, cod) in mfun_et_slots(source, target, ob_map)}
 
 
 def _et_assignments(source, target, caps, check_unit):
@@ -251,12 +234,9 @@ class MFunCategory:
         self.functors = tuple(functors)
         self.morphisms = tuple(morphisms)
         self.fincat = fincat
-        self._mor_by_pair = {}
-        for k, mor in enumerate(self.morphisms):
-            self._mor_by_pair.setdefault((mor.source_index, mor.target_index), []).append(k)
 
     def mors_between(self, i, j):
-        return tuple(self._mor_by_pair.get((i, j), ()))
+        return self.fincat.hom(i, j)
 
 
 def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory:
@@ -270,25 +250,11 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
         for k, (ob_map, phi, _) in enumerate(_et_assignments(source, target, caps, True))
     ]
 
-    mors = []
-    for i, f in enumerate(functors):
-        for j, g in enumerate(functors):
-            for comps in _mor_assignments(f, g, caps):
-                mors.append(MFunMor(i, j, comps))
-
-    fincat = component_category(
-        len(functors), [(m.source_index, m.target_index, m.components) for m in mors],
-        [tuple(target.id_of(v) for v in f.ob_map) for f in functors],
-        target.carrier, "G", "t", "FunCat", caps)
-    return MFunCategory(source, target, functors, mors, fincat)
-
-
-def _mor_assignments(f: MFunET, g: MFunET, caps):
-    n = f.source.n_objects
-    cands = {x: list(f.target.hom(f.ob_map[x], g.ob_map[x])) for x in range(n)}
-    guard_space(max(search_space(cands), 1), caps, "functor-morphism")
-    for asg in backtrack(cands, mfun_square_laws(f, g)):
-        yield tuple(asg[x] for x in range(n))
+    fincat, mors = family_category(
+        target.carrier, functors, lambda f: f.ob_map, mfun_square_laws,
+        "functor-morphism", "G", "t", "FunCat", caps)
+    return MFunCategory(source, target, functors,
+                        [MFunMor(i, j, comps) for i, j, comps in mors], fincat)
 
 
 def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):

@@ -93,8 +93,7 @@ class SkSetMonStr:
         self.name = f"finset-{kind}" + ("-op" if flipped else "")
 
     def tensor_ob(self, a, b):
-        if self.flipped:
-            a, b = b, a
+        # |a×b| = |b×a| and |a+b| = |b+a|: flipping changes only tensor_mor
         if self.kind == "product":
             return finset.product(a, b, self.caps)
         return finset.coproduct([a, b], self.caps)

@@ -20,14 +20,13 @@ from .errors import (
     CompatibilityViolation,
     InternalError,
     SizeBound,
-    TypeMismatch,
     UnitActionViolation,
 )
 from .enriched import MCat
 from .mfunctor import MFunET, validate_mfun_et
-from .search import backtrack, bounded_plans, failures
+from .search import backtrack, bounded_plans, check_family, mor_failures
 from .tensored import base_as_module, validate_module
-from .fincat import component_category
+from .fincat import family_category
 
 
 class Presheaf:
@@ -65,49 +64,34 @@ class PresheafMor:
 
 def validate_presheaf(source: MCat, values, action) -> Presheaf:
     """Typing, the compatibility law for all triples, and the unit action."""
-    base = source.base
-    n = source.n_objects
     values = tuple(values)
     action = dict(action)
-    for x in range(n):
-        for y in range(n):
-            a = action.get((x, y))
-            if a is None:
-                raise TypeMismatch("missing action component",
-                                   witness=source.cell_names((x, y)))
-            want_dom = base.tensor_ob(values[y], source.hom(x, y))
-            if base.dom(a) != want_dom or base.cod(a) != values[x]:
-                raise TypeMismatch("action component has wrong dom/cod",
-                                   witness=source.cell_names((x, y)))
     unit, compat = presheaf_laws(source, values)
-    for error, message, laws in (
-            (UnitActionViolation, "presheaf unit action is not the identity", unit),
-            (CompatibilityViolation, "presheaf compatibility fails", compat)):
-        for cell in failures(laws, action):
-            raise error(message, witness=source.cell_names(cell))
+    check_family(source.base, presheaf_slots(source, values), action, (
+        (UnitActionViolation, "presheaf unit action is not the identity", unit),
+        (CompatibilityViolation, "presheaf compatibility fails", compat)),
+        source.cell_names)
     return Presheaf(source, values, action)
 
 
 def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
     """Witness list for the morphism square; empty means valid."""
-    source = f.source
-    base = source.base
-    ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
-                 for x in range(source.n_objects)
-                 if (base.dom(components[x]) != f.values[x]
-                     or base.cod(components[x]) != g.values[x])]
-    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
-                         for cell in failures(presheaf_square_laws(f, g), components)]
+    return mor_failures(f.source, f.source.base, f.values, g.values,
+                        presheaf_square_laws(f, g), components)
+
+
+def presheaf_slots(source: MCat, values):
+    """(slot, (dom, cod)) per action slot (x, y), in slot order: the action
+    map values[y] ⊗ hom(x,y) -> values[x]."""
+    base, xs = source.base, range(source.n_objects)
+    return (((x, y), (base.tensor_ob(values[y], source.hom(x, y)), values[x]))
+            for x in xs for y in xs)
 
 
 def presheaf_cands(source: MCat, values):
-    """The type-correct action maps per slot (x, y), in slot order: base
-    morphisms values[y] ⊗ hom(x,y) -> values[x]."""
-    base = source.base
-    n = source.n_objects
-    return {(x, y): list(base.hom(base.tensor_ob(values[y], source.hom(x, y)),
-                                  values[x]))
-            for x in range(n) for y in range(n)}
+    """The type-correct action maps per slot, in slot order."""
+    return {slot: list(source.base.hom(dom, cod))
+            for slot, (dom, cod) in presheaf_slots(source, values)}
 
 
 def presheaf_laws(source: MCat, values):
@@ -185,12 +169,8 @@ class PresheafCategory:
         self.fincat = fincat
         self.caps = caps
         self._index = {p: i for i, p in enumerate(self.presheaves)}
-        self._mor_index = {}
-        self._mor_by_pair = {}
-        for k, mor in enumerate(self.morphisms):
-            i, j = self._index[mor.source], self._index[mor.target]
-            self._mor_index[(i, j, mor.components)] = k
-            self._mor_by_pair.setdefault((i, j), []).append(k)
+        self._mor_index = {(fincat.dom(k), fincat.cod(k), mor.components): k
+                           for k, mor in enumerate(self.morphisms)}
         self._module = None
 
     def index_of(self, p: Presheaf):
@@ -205,7 +185,7 @@ class PresheafCategory:
         return self._mor_index[key]
 
     def mors_between(self, i, j):
-        return tuple(self._mor_by_pair.get((i, j), ()))
+        return self.fincat.hom(i, j)
 
     def as_module(self):
         """The left-tensoring of the enumerated category, as a validated
@@ -234,29 +214,19 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
     base = source.base
     if not base.is_finite:
         raise SizeBound("presheaf enumeration needs a finite base")
-    n = source.n_objects
     presheaves = []
-    for values, cands in bounded_plans(base.objects(), n,
+    for values, cands in bounded_plans(base.objects(), source.n_objects,
                                        lambda values: presheaf_cands(source, values),
                                        caps, "presheaf"):
         unit, compat = presheaf_laws(source, values)
         for action in backtrack(cands, unit + compat):
             presheaves.append(Presheaf(source, values, action))
 
-    morphisms = []
-    mor_indices = []
-    for i, f in enumerate(presheaves):
-        for j, g in enumerate(presheaves):
-            mcands = {x: list(base.hom(f.values[x], g.values[x])) for x in range(n)}
-            for asg in backtrack(mcands, presheaf_square_laws(f, g)):
-                comps = tuple(asg[x] for x in range(n))
-                morphisms.append(PresheafMor(f, g, comps))
-                mor_indices.append((i, j, comps))
-
-    fincat = component_category(
-        len(presheaves), mor_indices,
-        [tuple(base.id_of(v) for v in p.values) for p in presheaves],
-        base.carrier, "F", "p", f"P({source.name})", caps)
+    fincat, mor_indices = family_category(
+        base.carrier, presheaves, lambda p: p.values, presheaf_square_laws,
+        "presheaf-morphism", "F", "p", f"P({source.name})", caps)
+    morphisms = [PresheafMor(presheaves[i], presheaves[j], comps)
+                 for i, j, comps in mor_indices]
     return PresheafCategory(source, presheaves, morphisms, fincat, caps)
 
 

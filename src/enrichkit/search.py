@@ -6,12 +6,12 @@ called as predicate(assignment, cell) once the last needed slot is assigned
 (Mackworth, "Consistency in networks of relations", AI 8(1), 1977).
 Solutions come out in lexicographic order of the candidate indices, which
 makes every enumeration canonical.  Validators evaluate the same tables on
-one fixed assignment (``failures``).
+one fixed assignment (``failures``, ``check_family``, ``mor_failures``).
 """
 
 import itertools
 
-from .errors import SizeBound
+from .errors import SizeBound, TypeMismatch
 
 
 def search_space(cands):
@@ -64,6 +64,33 @@ def failures(laws, assignment):
     """Witness cells of the entries a complete assignment violates, in table
     order; lazy, so the first failure costs only the scan up to it."""
     return (cell for _, holds, cell in laws if not holds(assignment, cell))
+
+
+def check_family(cat, slots, maps, groups, names):
+    """Raise on the first slot of ``slots`` = [(slot, (dom, cod))] whose map
+    is missing or mistyped, then on the first failing cell of each
+    (error, message, laws) group in turn; ``names`` names the witness."""
+    for slot, (dom, cod) in slots:
+        a = maps.get(slot)
+        if a is None:
+            raise TypeMismatch("missing action component", witness=names(slot))
+        if cat.dom(a) != dom or cat.cod(a) != cod:
+            raise TypeMismatch("action component has wrong dom/cod",
+                               witness=names(slot))
+    for error, message, laws in groups:
+        for cell in failures(laws, maps):
+            raise error(message, witness=names(cell))
+
+
+def mor_failures(source, cat, src_values, tgt_values, laws, components):
+    """Witness list for ``cat`` components src_values[x] -> tgt_values[x]:
+    the ill-typed ones, or else the failing cells of ``laws``; empty = valid."""
+    ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
+                 for x in range(source.n_objects)
+                 if (cat.dom(components[x]) != src_values[x]
+                     or cat.cod(components[x]) != tgt_values[x])]
+    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
+                         for cell in failures(laws, components)]
 
 
 def bounded_plans(values, n, cands_for, caps, what):

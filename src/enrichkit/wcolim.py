@@ -81,7 +81,8 @@ class FinSetModule(TensorModule):
 
 class PresheafModule:
     """P of an ingested finite category, left-tensored pointwise over
-    finite sets; colimits are computed pointwise with induced actions."""
+    finite sets; colimits are computed pointwise with induced actions.  Each
+    coproduct is built once and kept by its tuple of summands."""
 
     def __init__(self, mcat: MCat, caps: Caps = DEFAULT_CAPS):
         if mcat.base != finset_product_monoidal(caps):
@@ -90,6 +91,7 @@ class PresheafModule:
         self.base = mcat.base
         self.caps = caps
         self.name = f"P({mcat.name})"
+        self._coproducts = {}
 
     # -- carrier-style operations
     def id_of(self, p: Presheaf):
@@ -133,6 +135,9 @@ class PresheafModule:
 
     # -- pointwise colimits
     def coproduct(self, objs):
+        objs = tuple(objs)
+        if objs in self._coproducts:
+            return self._coproducts[objs]
         A = self.mcat
         n = A.n_objects
         parts = [[p.values[x] for p in objs] for x in range(n)]
@@ -148,7 +153,8 @@ class PresheafModule:
             comps = tuple(finset.injection(parts[x], i, self.caps) for x in range(n))
             injs.append(PresheafMor(objs[i], total, comps))
             _guard_mor(objs[i], total, comps)
-        return total, injs
+        self._coproducts[objs] = total, tuple(injs)
+        return self._coproducts[objs]
 
     def copair(self, objs, maps, cod):
         A = self.mcat
@@ -399,19 +405,15 @@ def canonical_presentation(F: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presentati
             failures.append({"w": A.obj_name(w), "kind": "not-bijective"})
 
     if not failures:
+        ids = [base.id_of(v) for v in F.values]
         for w in range(n):
             for wp in range(n):
                 # the points of hom(w', w) in order, so u is the index
                 for u, pt in enumerate(base.hom(base.unit, A.hom(wp, w))):
                     # restriction along u on the colimit side
-                    legs = []
-                    for x in range(n):
-                        pre = _restrict(base, A.comp(wp, w, x), A.hom(w, x), pt)
-                        legs.append(B.compose(
-                            colimits[wp].cocone.legs[x],
-                            B.act_mor(base.id_of(F.values[x]), pre)))
-                    zmap = mediate(colimits[w], tuple(legs),
-                                   colimits[wp].apex, B)
+                    zmap = _induced(colimits[w], colimits[wp], ids,
+                                    [_restrict(base, A.comp(wp, w, x), A.hom(w, x), pt)
+                                     for x in range(n)], B)
                     fmap = _restrict(base, F.action[(wp, w)], F.values[w], pt)
                     lhs = B.compose(comparisons[wp], zmap)
                     rhs = B.compose(fmap, comparisons[w])
@@ -446,21 +448,14 @@ class Ext:
 
     def on_mor(self, t: PresheafMor):
         """The mediating morphism Ext(F)(t): colim_{src} -> colim_{tgt}."""
-        key = (t.source, t.target, t.components)
-        if key not in self._mors:
+        if t not in self._mors:
             B = self.module
-            F = self.diagram
-            src = self.colimit(t.source)
-            tgt = self.colimit(t.target)
-            legs = tuple(
-                B.compose(tgt.cocone.legs[x],
-                          B.act_mor(t.components[x], B.id_of(F.ob_map[x])))
-                for x in range(F.source.n_objects))
-            u = mediate(src, legs, tgt.apex, B)
+            u = _induced(self.colimit(t.source), self.colimit(t.target),
+                         t.components, [B.id_of(v) for v in self.diagram.ob_map], B)
             if u is None:
                 raise InternalError("weight morphism did not induce a cocone")
-            self._mors[key] = u
-        return self._mors[key]
+            self._mors[t] = u
+        return self._mors[t]
 
     def tensor_comparison(self, m, W: Presheaf):
         """The canonical map colim_{m⊗W}(F) -> act(m, colim_W(F)); an
@@ -637,13 +632,15 @@ def check_equivalence(entries, seed=0, caps: Caps = DEFAULT_CAPS) -> Equivalence
 
 def _comparison(G: Ext, Gp: Ext, mu, W: Presheaf, B):
     """colim_W(res ext F) -> colim_W(F) induced by the round-trip witnesses."""
-    src = Gp.colimit(W)
-    tgt = G.colimit(W)
-    n = W.source.n_objects
-    legs = tuple(
-        B.compose(tgt.cocone.legs[x],
-                  B.act_mor(W.source.base.id_of(W.values[x]), mu[x]))
-        for x in range(n))
+    return _induced(Gp.colimit(W), G.colimit(W),
+                    [W.source.base.id_of(v) for v in W.values], mu, B)
+
+
+def _induced(src: WColimit, tgt: WColimit, t, mu, B):
+    """The map src -> tgt between colimits induced by the legs
+    tgt.leg_x ∘ act(t_x, mu_x), or None when they form no cocone."""
+    legs = tuple(B.compose(leg, B.act_mor(tx, mx))
+                 for leg, tx, mx in zip(tgt.cocone.legs, t, mu))
     return mediate(src, legs, tgt.apex, B)
 
 

@@ -497,3 +497,21 @@ def test_mutated_specs_never_crash(site, value):
             if code == 2:
                 assert err.getvalue().startswith("error:")
                 assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["boolean_chain", "s3_pair", "c3_loop"])
+def test_yoneda_command_enumerates_each_presheaf_category_once(spec, monkeypatch):
+    from enrichkit import cli
+
+    calls = []
+    enumerate_presheaves = cli.enumerate_presheaves
+
+    def counting(A, caps):
+        calls.append(A.name)
+        return enumerate_presheaves(A, caps)
+
+    monkeypatch.setattr(cli, "enumerate_presheaves", counting)
+    parsed = parse_spec(SPECS / f"{spec}.json")
+    report = run("yoneda", parsed)
+    assert report.failure_count == 0
+    assert calls == list(parsed.enriched)

@@ -7,10 +7,14 @@ every morphism pair in O(M²) declaration order and compare one equation at
 a time, in the scan order the validators document.
 """
 
+import itertools
 from pathlib import Path
+
+import pytest
 
 from enrichkit.cli import Builder, parse_spec
 from enrichkit.corpus import (
+    CorpusSampler,
     boolean_chain_mcat,
     idempotent_unit_instance,
     s3_monoidal,
@@ -35,14 +39,14 @@ from enrichkit.fincat import (
     validate_fincat,
     walking_arrow,
 )
-from enrichkit.mfunctor import enumerate_mfun_et, validate_mfun_et
+from enrichkit.mfunctor import check_mfun_mor, enumerate_mfun_et, validate_mfun_et
 from enrichkit.monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
 )
-from enrichkit.presheaf import enumerate_presheaves, validate_presheaf
+from enrichkit.presheaf import check_presheaf_mor, enumerate_presheaves, validate_presheaf
 from enrichkit.tensored import base_as_module, validate_module
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -326,3 +330,159 @@ def test_single_cell_phi_mutations_raise_brute_force_witness():
                     assert outcome(validate_mfun_et, A, T, F.ob_map, mutated) == want
                     kinds.add(want and want[0])
     assert {UnitActionViolation, CompatibilityViolation} <= kinds
+
+
+def test_missing_action_slot_is_named_in_slot_order():
+    # a dropped slot is named; a mistyped slot before it is named first
+    # (over the one-object Z2 base every map is typed, so that part needs
+    # the Boolean chain)
+    ordered = 0
+    for A in law_instances():
+        T = base_as_module(A.base)
+        p = enumerate_presheaves(A).presheaves[0]
+        F = enumerate_mfun_et(A, T).functors[0]
+        for validate, args, table in ((validate_presheaf, (A, p.values), p.action),
+                                      (validate_mfun_et, (A, T, F.ob_map), F.phi)):
+            slots = list(table)
+            for cell in slots:
+                partial = {k: v for k, v in table.items() if k != cell}
+                with pytest.raises(TypeMismatch, match="missing action component") as exc:
+                    validate(*args, partial)
+                assert exc.value.witness == A.cell_names(cell)
+            first, last = slots[0], slots[-1]
+            mistyped = next((m for m in range(T.carrier.n_morphisms)
+                             if T.carrier.dom(m) != T.carrier.dom(table[first])), None)
+            if mistyped is None:
+                continue
+            partial = {k: v for k, v in table.items() if k != last}
+            with pytest.raises(TypeMismatch, match="wrong dom/cod") as exc:
+                validate(*args, {**partial, first: mistyped})
+            assert exc.value.witness == A.cell_names(first)
+            ordered += 1
+    assert ordered == 2
+
+
+# --- enumerated presheaf and functor categories ------------------------------
+
+def brute_families(n_values, n_objects, slots, valid):
+    """Every (values, table) with a value in range(n_values) per object and
+    one entry per slot drawn from all type-correct maps, kept when valid.
+    slots(values) is [(slot, maps)]."""
+    out = []
+    for values in itertools.product(range(n_values), repeat=n_objects):
+        keys, choices = zip(*slots(values)) if n_objects else ((), ())
+        for picks in itertools.product(*choices):
+            table = dict(zip(keys, picks))
+            if valid(values, table):
+                out.append((values, table))
+    return out
+
+
+def brute_presheaves(A):
+    base, n = A.base, A.n_objects
+    return brute_families(
+        base.carrier.n_objects, n,
+        lambda v: [((x, y), base.hom(base.tensor_ob(v[y], A.hom(x, y)), v[x]))
+                   for x in range(n) for y in range(n)],
+        lambda v, a: brute_presheaf_failure(A, v, a) is None)
+
+
+def brute_functors(A, T):
+    n = A.n_objects
+    return brute_families(
+        T.carrier.n_objects, n,
+        lambda v: [((x, y), T.hom(T.act_ob(A.hom(x, y), v[x]), v[y]))
+                   for x in range(n) for y in range(n)],
+        lambda v, phi: brute_mfun_et_failure(A, T, v, phi) is None)
+
+
+def presheaf_square(A, f, g, t, x, y):
+    """g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) for (values, action) pairs f, g."""
+    base = A.base
+    lhs = base.compose(g[1][(x, y)], base.tensor_mor(t[y], base.id_of(A.hom(x, y))))
+    return lhs == base.compose(t[x], f[1][(x, y)])
+
+
+def functor_square(A, T, f, g, t, x, y):
+    """g(x,y) ∘ act(id, t_x) = t_y ∘ f(x,y) for (ob_map, phi) pairs f, g."""
+    lhs = T.compose(g[1][(x, y)], T.act_mor(A.base.id_of(A.hom(x, y)), t[x]))
+    return lhs == T.compose(t[y], f[1][(x, y)])
+
+
+def brute_morphisms(A, cat, objs, square):
+    n = A.n_objects
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    return [(i, j, t) for i, f in enumerate(objs) for j, g in enumerate(objs)
+            for t in itertools.product(*[cat.hom(a, b) for a, b in zip(f[0], g[0])])
+            if all(square(f, g, t, x, y) for x, y in cells)]
+
+
+def brute_mor_witnesses(A, cat, f, g, t, square):
+    """The ill-typed components, else the failing squares, in scan order."""
+    n, name = A.n_objects, A.obj_name
+    ill = [{"x": name(x), "kind": "ill-typed"} for x in range(n)
+           if cat.dom(t[x]) != f[0][x] or cat.cod(t[x]) != g[0][x]]
+    return ill or [{"x": name(x), "y": name(y), "kind": "square"}
+                   for x in range(n) for y in range(n) if not square(f, g, t, x, y)]
+
+
+def morphism_mutations(cat, t):
+    for x, c in enumerate(t):
+        for other in range(cat.n_morphisms):
+            if other != c:
+                yield t[:x] + (other,) + t[x + 1:]
+
+
+def family_key(values, table):
+    return tuple(values), tuple(sorted(table.items()))
+
+
+def family_instances():
+    """The shipped law instances and seeded random enriched categories.  The
+    sampled ones are over thin bases or have one object over Z_k, where a
+    typed mutation of a morphism is again a morphism; the codiscrete Z2
+    pair reaches the square witnesses."""
+    out = law_instances()
+    for seed in range(40):
+        sampler = CorpusSampler(seed)
+        out.append(sampler.random_mcat(sampler.random_monoidal())[0])
+    return out
+
+
+def test_enumerated_categories_match_brute_force_tables():
+    # Each law is evaluated as a direct equation on every type-correct table,
+    # without the search engine or the law tables.  The objects and the
+    # morphisms agree in enumeration order, and so does the witness list of
+    # every single-component mutation of a morphism.
+    kinds = {"presheaf": set(), "functor": set()}
+    for k, A in enumerate(family_instances()):
+        pscat = enumerate_presheaves(A)
+        base, carrier = A.base, A.base.carrier
+        T = base_as_module(base)
+        fcat = enumerate_mfun_et(A, T)
+        cases = [
+            ("presheaf", carrier,
+             [(p.values, p.action) for p in pscat.presheaves], brute_presheaves(A),
+             [(pscat.index_of(m.source), pscat.index_of(m.target), m.components)
+              for m in pscat.morphisms],
+             lambda f, g, t, x, y: presheaf_square(A, f, g, t, x, y),
+             lambda i, j, t: check_presheaf_mor(pscat.presheaves[i],
+                                                pscat.presheaves[j], t)),
+            ("functor", T.carrier,
+             [(F.ob_map, F.phi) for F in fcat.functors], brute_functors(A, T),
+             [(m.source_index, m.target_index, m.components) for m in fcat.morphisms],
+             lambda f, g, t, x, y: functor_square(A, T, f, g, t, x, y),
+             lambda i, j, t: check_mfun_mor(fcat.functors[i], fcat.functors[j], t)),
+        ]
+        for kind, cat, objs, brute_objs, mors, square, check in cases:
+            assert ([family_key(*o) for o in objs]
+                    == [family_key(*o) for o in brute_objs]), (k, kind)
+            assert mors == brute_morphisms(A, cat, brute_objs, square), (k, kind)
+            for i, j, t in mors:
+                for mutated in morphism_mutations(cat, t):
+                    witnesses = brute_mor_witnesses(A, cat, objs[i], objs[j],
+                                                    mutated, square)
+                    assert check(i, j, mutated) == witnesses, (k, kind)
+                    kinds[kind].update(w["kind"] for w in witnesses)
+    assert kinds == {"presheaf": {"ill-typed", "square"},
+                     "functor": {"ill-typed", "square"}}

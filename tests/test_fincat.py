@@ -18,6 +18,7 @@ from enrichkit.fincat import (
     compose_functors,
     discrete_cat,
     enumerate_functors,
+    family_category,
     fin_functor,
     loop_cat,
     monoid_cat,
@@ -218,3 +219,17 @@ def test_seeded_poset_and_monoid_round_trip():
         again = validate_fincat([cat.obj_name(x) for x in range(cat.n_objects)],
                                 morphisms, compose)
         assert again == cat
+
+
+def test_family_category_caps_each_pair_before_searching():
+    # one object with two components in Z_5 and no laws: 25 morphisms,
+    # composed componentwise, and a search space of 25 for the one pair
+    Z5 = loop_cat(5)
+    args = (Z5, ["f"], lambda f: (0, 0), lambda f, g: [], "presheaf-morphism",
+            "F", "p", "P")
+    with pytest.raises(SizeBound, match="presheaf-morphism search space 25 exceeds cap 24"):
+        family_category(*args, Caps(max_search=24))
+    cat, mors = family_category(*args, Caps(max_search=25))
+    assert mors == [(0, 0, (a, b)) for a in range(5) for b in range(5)]
+    assert cat.n_morphisms == 25 and cat.mor_name(cat.id_of(0)) == "p0"
+    assert cat.compose(7, 8) == mors.index((0, 0, (Z5.compose(1, 1), Z5.compose(2, 3))))

@@ -470,3 +470,34 @@ def test_generic_colimit_layer_names_no_finite_set_operation():
                 fn.__qualname__, name)
             if inspect.isfunction(value) and value.__module__ == wcolim.__name__:
                 todo.append(value)
+
+
+def test_presheaf_module_builds_each_coproduct_once(monkeypatch):
+    # weighted_colimit needs the summand coproduct and the relation
+    # coproduct once each (copair reuses them for both legs), then one
+    # quotient; a following mediate builds and validates nothing new.
+    A = mcat_from_fincat(walking_arrow())
+    PM = PresheafModule(A)
+    n = A.n_objects
+    phi = {(x, y): wcolim.structure_presheaf_mor(A, x, y)
+           for x in range(n) for y in range(n)}
+    Y = validate_mfun_et(A, PM, [yoneda_presheaf(A, x) for x in range(n)], phi)
+    W = terminal_weight(A)
+    calls = {"validate": 0, "coproduct_map": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(wcolim, "validate_presheaf",
+                        counting("validate", wcolim.validate_presheaf))
+    # a coproduct build makes one coproduct_map per action slot (x, y)
+    monkeypatch.setattr(finset, "coproduct_map",
+                        counting("coproduct_map", finset.coproduct_map))
+    wc = weighted_colimit(W, Y, PM)
+    assert calls == {"validate": 3, "coproduct_map": 2 * n ** 2}
+    calls.update(validate=0, coproduct_map=0)
+    assert mediate(wc, wc.cocone.legs, wc.apex, PM) is not None
+    assert calls == {"validate": 0, "coproduct_map": 0}
