@@ -1,14 +1,19 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A ``FinCat`` is the trusted kernel of the whole engine: it is fully
-validated at construction (totality, typing, unit laws, associativity over
-every composable triple) and downstream modules never re-check.  Object and
+validated at construction (totality, typing, unit laws, associativity) and
+downstream modules never re-check.  Associativity is decided per category,
+never per cell: a thin category (every hom-set has at most one element)
+satisfies it by typing alone, and otherwise it is checked with the middle
+morphism ranging over a generating set only (Light's test, Clifford &
+Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2).  Object and
 morphism identifiers are opaque strings at the boundary, interned to dense
 integer indices internally; every enumeration follows declaration order, so
 reports are byte-identical across runs.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -28,10 +33,13 @@ class FinCat:
     """A validated finite category.  Construct via ``validate_fincat``.
 
     Objects and morphisms are addressed by dense integer indices; names are
-    kept for reports.  ``compose(g, f)`` means "g after f".
+    kept for reports.  ``compose(g, f)`` means "g after f".  ``thin`` is
+    true when every hom-set has at most one element, so any two parallel
+    morphisms are equal.
     """
 
-    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, identity, compose):
+    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, identity, compose,
+                 generators=None):
         self.name = name
         self.objects = tuple(objects)
         self.mor_names = tuple(mor_names)
@@ -45,7 +53,9 @@ class FinCat:
         for m in range(len(self.mor_names)):
             hom.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
+        self.thin = len(self._hom) == len(self.mor_names)
         self._by_dom = _group_by_dom(len(self.objects), self.mor_dom)
+        self._generators = generators
         self._hash = None
 
     @property
@@ -102,6 +112,16 @@ class FinCat:
                    and self.compose(m, w) == self.identity[c]
                    for w in self.hom(c, d))
 
+    def generators(self):
+        """The generating set S, chosen greedily in index order: a morphism
+        joins S when it is not yet a right-nested composite s1∘(s2∘(…∘sk))
+        of earlier members of S and identities.  Every morphism is such a
+        composite of S and the identities."""
+        if self._generators is None:
+            self._generators = _generators(self.n_objects, self.mor_dom, self.mor_cod,
+                                           self.identity, self._compose)
+        return self._generators
+
     def composable_pairs(self):
         """All (g, f) with dom(g) = cod(f), in (f, g) scan order."""
         for f in range(self.n_morphisms):
@@ -132,13 +152,14 @@ class FinCat:
 
 
 CATEGORY_OPS = ("id_of", "compose", "dom", "cod", "hom", "is_iso",
-                "obj_name", "mor_name")
+                "obj_name", "mor_name", "thin")
 
 
 def bind_carrier(obj, carrier):
     """Make obj a category through carrier: set ``obj.carrier`` and bind
-    the carrier's category operations onto obj.  The monoidal bases and the
-    left-tensored categories call this at construction."""
+    the carrier's category operations and its ``thin`` flag onto obj.  The
+    monoidal bases and the left-tensored categories call this at
+    construction."""
     obj.carrier = carrier
     for op in CATEGORY_OPS:
         setattr(obj, op, getattr(carrier, op))
@@ -154,6 +175,15 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                composable pairs.
     identity:  optional {object: morphism} map; inferred from the compose
                table when omitted.
+
+    Checks run in order: names and typing, totality, identities, the unit
+    laws, associativity.  Associativity over a thin input holds by typing,
+    as both sides of each triple lie in one hom-set.  Otherwise it is
+    checked for the middle morphisms g in the generating set S only: the
+    middles that pass are closed under the table's composition, identities
+    pass by the unit laws, and S generates every morphism.  On a mismatch
+    the full scan over every composable triple runs, so the witness is the
+    first failing triple in (f, g, h) scan order.
     """
     objects = list(objects)
     if len(objects) > caps.max_objects:
@@ -240,26 +270,65 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                 f"{mor_names[f]!r}∘id differs from {mor_names[f]!r}",
                 witness={"morphism": mor_names[f], "side": "right"})
 
-    # Associativity over every composable triple, (f, g, h) scan order.  Per
-    # composable pair the row h∘(g∘f) over every h out of cod g is compared
-    # at once with the row (h∘g)∘f; a differing row is rescanned to name the
-    # first failing h.
-    post = [[comp[(h, m)] for h in by_dom[mor_cod[m]]]
-            for m in range(len(mor_names))]
-    for f in range(len(mor_names)):
-        pre = {x: comp[(x, f)] for x in by_dom[mor_cod[f]]}
-        for g, gf in pre.items():
-            if post[gf] == list(map(pre.__getitem__, post[g])):
-                continue
-            for h in by_dom[mor_cod[g]]:
-                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
-                    raise AssociativityViolation(
-                        f"(h∘g)∘f ≠ h∘(g∘f) for h={mor_names[h]!r}, "
-                        f"g={mor_names[g]!r}, f={mor_names[f]!r}",
-                        witness={"h": mor_names[h], "g": mor_names[g],
-                                 "f": mor_names[f]})
+    # Associativity (see the docstring): per composable pair (g, f) the row
+    # h∘(g∘f) over every h out of cod g is compared at once with the row
+    # (h∘g)∘f, for the middles g in S; a failing table is rescanned over
+    # every middle to name the first failing triple.
+    thin = len(set(zip(mor_dom, mor_cod))) == len(mor_names)
+    gens = None
+    if not thin:
+        gens = _generators(len(objects), mor_dom, mor_cod, ident, comp)
+        post = [list(map(comp.__getitem__, zip(by_dom[mor_cod[m]], repeat(m))))
+                for m in range(len(mor_names))]
+        if _first_assoc_row(comp, mor_cod, post, _group_by_dom(
+                len(objects), mor_dom, gens)) is not None:
+            g, f = _first_assoc_row(comp, mor_cod, post, by_dom)
+            h = next(h for h in by_dom[mor_cod[g]]
+                     if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)])
+            raise AssociativityViolation(
+                f"(h∘g)∘f ≠ h∘(g∘f) for h={mor_names[h]!r}, "
+                f"g={mor_names[g]!r}, f={mor_names[f]!r}",
+                witness={"h": mor_names[h], "g": mor_names[g], "f": mor_names[f]})
 
-    return FinCat(name, objects, mor_names, mor_dom, mor_cod, ident, comp)
+    return FinCat(name, objects, mor_names, mor_dom, mor_cod, ident, comp, gens)
+
+
+def _first_assoc_row(comp, mor_cod, post, middles):
+    """The first composable pair (g, f), in (f, g) scan order and with g in
+    ``middles`` (per object, the middles out of it), whose associativity
+    row differs; None if none.  post[m] is the row h∘m over h out of cod m."""
+    for f, c in enumerate(mor_cod):
+        for g in middles[c]:
+            if post[comp[(g, f)]] != list(map(comp.__getitem__, zip(post[g], repeat(f)))):
+                return g, f
+    return None
+
+
+def _generators(n_objects, mor_dom, mor_cod, ident, comp):
+    """Greedy generating set in index order (see ``FinCat.generators``).
+    The reached set starts at the identities and is closed under s∘x for s
+    in S; each (s, x) pair is composed once, so the cost is O(|S|·M)."""
+    reached = [False] * len(mor_dom)
+    into = [[] for _ in range(n_objects)]   # reached morphisms by codomain
+    out = [[] for _ in range(n_objects)]    # generators by domain
+    for i in ident:
+        reached[i] = True
+        into[mor_cod[i]].append(i)
+    gens = []
+    for m in range(len(mor_dom)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        out[mor_dom[m]].append(m)
+        work = [(m, x) for x in into[mor_dom[m]]]
+        while work:
+            s, x = work.pop()
+            y = comp[(s, x)]
+            if not reached[y]:
+                reached[y] = True
+                into[mor_cod[y]].append(y)
+                work.extend((t, y) for t in out[mor_cod[y]])
+    return tuple(gens)
 
 
 def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
@@ -285,23 +354,32 @@ def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
     lookup = {m: k for k, m in enumerate(morphisms)}
     identity = {obj_names[i]: mor_names[lookup[(i, i, tuple(map(cat.id_of, values(f))))]]
                 for i, f in enumerate(objs)}
+    # One row of composites g∘f per g, over every f into dom g: the f's are
+    # kept as columns (sources, names, x-th components), so each row takes
+    # one compose_all per component instead of one call per composite.
+    width = len(values(objs[0])) if objs else 0
+    cols = [([morphisms[k][0] for k in ks], [mor_names[k] for k in ks],
+             [[morphisms[k][2][x] for k in ks] for x in range(width)])
+            for ks in into]
     compose = []
     for k2, (i2, j2, c2) in enumerate(morphisms):
-        for k1 in into[i2]:
-            i1, _, c1 = morphisms[k1]
-            gf = lookup[(i1, j2, tuple(cat.compose_all(c2, c1)))]
-            compose.append((mor_names[k2], mor_names[k1], mor_names[gf]))
+        srcs, names, comps = cols[i2]
+        gfs = zip(*map(cat.compose_all, map(repeat, c2), comps)) if width else repeat(())
+        keys = zip(srcs, repeat(j2), gfs)
+        compose.extend(zip(repeat(mor_names[k2]), names,
+                           map(mor_names.__getitem__, map(lookup.__getitem__, keys))))
     mor_decls = [(mor_names[k], obj_names[i], obj_names[j])
                  for k, (i, j, _) in enumerate(morphisms)]
     return validate_fincat(obj_names, mor_decls, compose, identity,
                            name=name, caps=caps), morphisms
 
 
-def _group_by_dom(n_objects, mor_dom):
-    """Per object, the morphisms out of it in declaration order."""
+def _group_by_dom(n_objects, mor_dom, mors=None):
+    """Per object, the morphisms out of it (of ``mors`` when given) in
+    declaration order."""
     by_dom = [[] for _ in range(n_objects)]
-    for m, d in enumerate(mor_dom):
-        by_dom[d].append(m)
+    for m in range(len(mor_dom)) if mors is None else mors:
+        by_dom[mor_dom[m]].append(m)
     return tuple(tuple(ms) for ms in by_dom)
 
 

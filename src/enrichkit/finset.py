@@ -282,6 +282,8 @@ class SkSetCat:
     monoidal/enriched layers expect.  Objects are not enumerable; hom-sets
     are finite and enumerated on demand."""
 
+    thin = False
+
     def __init__(self, caps: Caps = DEFAULT_CAPS):
         self.caps = caps
 

@@ -154,7 +154,10 @@ def mfun_et_laws(source, target, ob_map):
     """The laws of an enriched-to-tensored functor with object map ``ob_map``
     (Kelly 1982, §1.2): the compatibility square per (x, y, z), then the
     unit action per x.  Returned as two law tables (compat, unit) over the
-    action slots (x, y)."""
+    action slots (x, y); both are empty over a thin target, where the two
+    sides of each law share a hom-set once the actions are typed."""
+    if target.thin:
+        return [], []
     base = source.base
     xs = range(source.n_objects)
 
@@ -179,8 +182,10 @@ def mfun_et_laws(source, target, ob_map):
 
 def mfun_square_laws(f: MFunET, g: MFunET):
     """The morphism square g(x,y) ∘ act(id, t_x) = t_y ∘ f(x,y) per (x, y),
-    as a law table over the component slots x."""
+    as a law table over the component slots x; empty over a thin target."""
     source, target = f.source, f.target
+    if target.thin:
+        return []
     base = source.base
     xs = range(source.n_objects)
 

@@ -97,8 +97,12 @@ def presheaf_cands(source: MCat, values):
 def presheaf_laws(source: MCat, values):
     """The presheaf laws for the value map ``values`` (Kelly 1982, §1.2):
     the unit action per x, then compatibility per (x, y, z).  Returned as
-    two law tables (unit, compat) over the action slots (x, y)."""
+    two law tables (unit, compat) over the action slots (x, y); both are
+    empty over a thin base, where the two sides of each law share a hom-set
+    once the actions are typed."""
     base = source.base
+    if base.thin:
+        return [], []
     xs = range(source.n_objects)
 
     def unit_law(act, cell):
@@ -122,9 +126,11 @@ def presheaf_laws(source: MCat, values):
 
 def presheaf_square_laws(f: Presheaf, g: Presheaf):
     """The morphism square g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) per (x, y), as
-    a law table over the component slots x."""
+    a law table over the component slots x; empty over a thin base."""
     source = f.source
     base = source.base
+    if base.thin:
+        return []
     xs = range(source.n_objects)
 
     def square(t, cell):
@@ -136,7 +142,7 @@ def presheaf_square_laws(f: Presheaf, g: Presheaf):
     return [((x, y), square, (x, y)) for x in xs for y in xs]
 
 
-def tensor_presheaf(m, f: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presheaf:
+def tensor_presheaf(m, f: Presheaf) -> Presheaf:
     """m ⊗ f: values tensored on the left, actions tensored with id_m.
 
     Strict associativity of the base makes the new actions well typed.
@@ -162,12 +168,11 @@ class PresheafCategory:
     (value assignment, action choices), all morphisms, a validated FinCat
     presentation, and the left-tensoring by the base."""
 
-    def __init__(self, source, presheaves, morphisms, fincat, caps):
+    def __init__(self, source, presheaves, morphisms, fincat):
         self.source = source
         self.presheaves = tuple(presheaves)
         self.morphisms = tuple(morphisms)
         self.fincat = fincat
-        self.caps = caps
         self._index = {p: i for i, p in enumerate(self.presheaves)}
         self._mor_index = {(fincat.dom(k), fincat.cod(k), mor.components): k
                            for k, mor in enumerate(self.morphisms)}
@@ -195,7 +200,7 @@ class PresheafCategory:
             aob = {}
             for m in base.objects():
                 for i, p in enumerate(self.presheaves):
-                    aob[(m, i)] = self.index_of(tensor_presheaf(m, p, self.caps))
+                    aob[(m, i)] = self.index_of(tensor_presheaf(m, p))
             amor = {}
             for u in base.morphisms():
                 for k, t in enumerate(self.morphisms):
@@ -227,7 +232,7 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
         "presheaf-morphism", "F", "p", f"P({source.name})", caps)
     morphisms = [PresheafMor(presheaves[i], presheaves[j], comps)
                  for i, j, comps in mor_indices]
-    return PresheafCategory(source, presheaves, morphisms, fincat, caps)
+    return PresheafCategory(source, presheaves, morphisms, fincat)
 
 
 def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:

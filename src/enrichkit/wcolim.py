@@ -84,6 +84,8 @@ class PresheafModule:
     finite sets; colimits are computed pointwise with induced actions.  Each
     coproduct is built once and kept by its tuple of summands."""
 
+    thin = False
+
     def __init__(self, mcat: MCat, caps: Caps = DEFAULT_CAPS):
         if mcat.base != finset_product_monoidal(caps):
             raise ShapeMismatch("presheaf module needs the finite-sets base")
@@ -125,7 +127,7 @@ class PresheafModule:
 
     # -- tensoring
     def act_ob(self, m, p):
-        return tensor_presheaf(m, p, self.caps)
+        return tensor_presheaf(m, p)
 
     def act_mor(self, u: SkMap, t: PresheafMor):
         return PresheafMor(self.act_ob(u.dom, t.source),
@@ -479,10 +481,10 @@ def ext(F: MFunET, module=None) -> Ext:
     return Ext(F, module)
 
 
-def structure_presheaf_mor(A: MCat, x, y, caps: Caps = DEFAULT_CAPS) -> PresheafMor:
+def structure_presheaf_mor(A: MCat, x, y) -> PresheafMor:
     """The canonical map hom(x,y) ⊗ Y(x) -> Y(y) with components given by
     composition."""
-    src = tensor_presheaf(A.hom(x, y), yoneda_presheaf(A, x), caps)
+    src = tensor_presheaf(A.hom(x, y), yoneda_presheaf(A, x))
     return _structure_mor(A, x, y, src, yoneda_presheaf(A, y))
 
 
@@ -506,7 +508,7 @@ def res(G: Ext, caps: Caps = DEFAULT_CAPS) -> MFunET:
         for y in range(n):
             # hom(x,y) ⊗ Y(x) is both the structure map's source and the
             # weight whose colimit the tensor comparison starts from
-            src = tensor_presheaf(A.hom(x, y), ys[x], caps)
+            src = tensor_presheaf(A.hom(x, y), ys[x])
             c = _structure_mor(A, x, y, src, ys[y])
             cmp = G._tensor_comparison(A.hom(x, y), ys[x], src)
             if not B.is_iso(cmp):
