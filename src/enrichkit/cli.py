@@ -355,8 +355,7 @@ class Builder:
         if decl.carrier == "finset-coproduct":
             return finset_coproduct_monoidal(self.caps)
         return validate_monoidal(self.category(decl.carrier), decl.unit,
-                                 decl.tensor_ob, decl.tensor_mor,
-                                 name=name, caps=self.caps)
+                                 decl.tensor_ob, decl.tensor_mor, name=name)
 
     @_built("enriched")
     def enriched(self, decl, name):
@@ -383,8 +382,7 @@ class Builder:
                             f"comp({obs[x]!r}, {obs[y]!r}, {obs[z]!r}) has wrong dom/cod",
                             {"x": obs[x], "y": obs[y], "z": obs[z]})
                         for x, y, z, m in decl.comp}
-        return validate_mcat(base, decl.objects, hom, unit, comp,
-                             name=name, caps=self.caps)
+        return validate_mcat(base, decl.objects, hom, unit, comp, name=name)
 
     @_built("enriched")
     def presheaf_category(self, decl, name):
@@ -400,8 +398,7 @@ class Builder:
                   for m, c, c2 in decl.act_ob}
         act_mor = {(bc.mor(u), carrier.mor(h)): carrier.mor(h2)
                    for u, h, h2 in decl.act_mor}
-        return validate_module(base, carrier, act_ob, act_mor,
-                               name=name, caps=self.caps)
+        return validate_module(base, carrier, act_ob, act_mor, name=name)
 
     @_built("mfunctors")
     def mfunctor(self, decl, name):
@@ -411,8 +408,7 @@ class Builder:
                                   ob_map[y], table, "action component has wrong dom/cod",
                                   A.cell_names((x, y)))
                for x, y, table in decl.phi}
-        return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi,
-                                name=name, caps=self.caps)
+        return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi, name=name)
 
     @_built("presheaves")
     def presheaf(self, decl, name):
@@ -540,9 +536,9 @@ def run(command, spec, options=None) -> Report:
         elif command == "wcolim":
             _cmd_wcolim(report, builder, seed)
         elif command == "universal":
-            _cmd_universal(report, builder, seed)
+            _cmd_universal(report, builder)
         elif command == "fuzz":
-            _cmd_fuzz(report, builder, seed, caps)
+            _cmd_fuzz(report, seed, caps)
         else:
             raise ParseError(f"unknown command {command!r}")
     except (SizeBound, Overflow) as exc:
@@ -596,7 +592,7 @@ def _cmd_yoneda(report, builder):
 
         def faithful(name=name):
             pscat = builder.presheaf_category(name)
-            rep = check_fully_faithful(pscat, builder.caps)
+            rep = check_fully_faithful(pscat)
             verdict = "pass" if rep.passed else "fail"
             return verdict, [str(f) for f in rep.failures], {
                 "bijections": rep.checked,
@@ -631,7 +627,7 @@ def _cmd_wcolim(report, builder, seed):
             _run_record(report, "wcolim.universal", f"{wname}*{fname}", check)
 
 
-def _cmd_universal(report, builder, seed):
+def _cmd_universal(report, builder):
     for fname, fdecl in builder.spec.mfunctors.items():
         def check(fname=fname, fdecl=fdecl):
             F = builder.mfunctor(fname)
@@ -639,14 +635,14 @@ def _cmd_universal(report, builder, seed):
             weights = [builder.weight(w) for w in _weights_on(builder.spec, fdecl.source)]
             if not weights:
                 weights = [terminal_weight(A)]
-            rep = check_equivalence([(A, F, weights)], seed=seed, caps=builder.caps)
+            rep = check_equivalence([(A, F, weights)], caps=builder.caps)
             verdict = "pass" if rep.passed else "fail"
             return verdict, [str(f) for f in rep.failures], {"checks": rep.checks}
 
         _run_record(report, "universal.equivalence", fname, check)
 
 
-def _cmd_fuzz(report, builder, seed, caps):
+def _cmd_fuzz(report, seed, caps):
     sampler = CorpusSampler(seed, caps)
     unit_totals = [0, 0]  # square-only candidates, unit-law violations
     for i in range(25):
@@ -654,7 +650,7 @@ def _cmd_fuzz(report, builder, seed, caps):
             M = sampler.random_monoidal()
             A, pscat = sampler.random_mcat(M)
             rep = check_yoneda_lemma(pscat)
-            ff = check_fully_faithful(pscat, caps)
+            ff = check_fully_faithful(pscat)
             cand, viol, _ = measure_unit_automatism(A, base_as_module(M), caps)
             unit_totals[0] += cand
             unit_totals[1] += viol

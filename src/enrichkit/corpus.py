@@ -181,7 +181,7 @@ def swap_instance(caps: Caps = DEFAULT_CAPS):
         (0, 1): SkMap(finset.product(SkSet(2), SkSet(2)), SkSet(2), (0, 1, 1, 0)),
         (1, 0): SkMap(finset.product(SkSet(0), SkSet(2)), SkSet(2), ()),
     }
-    F = validate_mfun_et(A, B, vals, phi, name="swap-diagram", caps=caps)
+    F = validate_mfun_et(A, B, vals, phi, name="swap-diagram")
     return A, tw, F
 
 
@@ -305,7 +305,7 @@ class CorpusSampler:
                 continue
             try:
                 A = validate_mcat(M, [f"a{i}" for i in range(n)], hom, unit, comp,
-                                  name="random-mcat", caps=self.caps)
+                                  name="random-mcat")
             except EnrichKitError:
                 continue
             try:
@@ -357,12 +357,10 @@ class CorpusSampler:
 
         found = self._draw(A, problem, self.diagram_stats)
         if found is not None:
-            return validate_mfun_et(A, B, *found, name="random-diagram",
-                                    caps=self.caps)
+            return validate_mfun_et(A, B, *found, name="random-diagram")
         vals = [SkSet(1)] * A.n_objects
         phi = {slot: maps[0] for slot, maps in mfun_et_cands(A, B, vals).items()}
-        return validate_mfun_et(A, B, vals, phi, name="terminal-diagram",
-                                caps=self.caps)
+        return validate_mfun_et(A, B, vals, phi, name="terminal-diagram")
 
     def _draw(self, A, problem, stats):
         """Up to 64 attempts: value cards drawn uniformly in 1..MAX_CARD,

@@ -84,6 +84,7 @@ def validate_mcat(base, objects, hom, unit, comp, name="",
     hom:  {(x, y): base object} on object indices 0..n-1.
     unit: {x: base morphism 1 -> hom(x, x)}.
     comp: {(x, y, z): base morphism hom(y, z) ⊗ hom(x, y) -> hom(x, z)}.
+    ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -201,4 +202,4 @@ def mcat_from_fincat(c: FinCat, caps: Caps = DEFAULT_CAPS) -> MCat:
                 comp[(x, y, z)] = SkMap(finset.product(hyz, hxy, caps),
                                         hom[(x, z)], tuple(table))
     return validate_mcat(base, c.objects, hom, unit, comp,
-                         name=c.name + "-enr" if c.name else "", caps=caps)
+                         name=c.name + "-enr" if c.name else "")

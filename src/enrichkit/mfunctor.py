@@ -70,8 +70,7 @@ class MFunMor:
     components: tuple
 
 
-def validate_mfun_tt(source, target, functor: FinFunctor, sigma,
-                     caps: Caps = DEFAULT_CAPS) -> MFunTT:
+def validate_mfun_tt(source, target, functor: FinFunctor, sigma) -> MFunTT:
     """Check naturality in both variables and the cocycle compatibility.
 
     sigma: {(m, a): target-carrier morphism f(act(m,a)) -> act(m, f(a))},
@@ -137,6 +136,7 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
     """Check the compatibility square for all triples and the unit action.
 
     phi: {(x, y): target morphism act(hom(x,y), f(x)) -> f(y)}.
+    ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read.
     """
     if source.base != target.base:
         raise ShapeMismatch("enriched source and tensored target disagree on the base")
@@ -282,7 +282,7 @@ def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
     return candidates, violations, witnesses
 
 
-def identity_mfun_tt(module, caps: Caps = DEFAULT_CAPS) -> MFunTT:
+def identity_mfun_tt(module) -> MFunTT:
     """The identity functor of a finite module with identity structure maps."""
     carrier = module.carrier
     functor = fin_functor(carrier, carrier,
@@ -290,4 +290,4 @@ def identity_mfun_tt(module, caps: Caps = DEFAULT_CAPS) -> MFunTT:
                           tuple(range(carrier.n_morphisms)))
     sigma = {(m, a): carrier.id_of(module.act_ob(m, a))
              for m in module.base.objects() for a in range(carrier.n_objects)}
-    return validate_mfun_tt(module, module, functor, sigma, caps)
+    return validate_mfun_tt(module, module, functor, sigma)

@@ -120,8 +120,7 @@ class SkSetMonStr:
         return f"SkSetMonStr({self.name!r})"
 
 
-def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="",
-                      caps: Caps = DEFAULT_CAPS) -> MonStr:
+def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="") -> MonStr:
     """Exhaustively validate strict monoidal tables over a finite carrier.
 
     unit, tensor_ob and tensor_mor use names; every violation names a

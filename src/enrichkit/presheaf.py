@@ -237,7 +237,8 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
 
 def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:
     """The Yoneda embedding of A into its enumerated presheaf category,
-    revalidated as an enriched-to-tensored functor."""
+    revalidated as an enriched-to-tensored functor.
+    ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read."""
     source = pscat.source
     module = pscat.as_module()
     n = source.n_objects
@@ -250,7 +251,7 @@ def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:
             comps = tuple(source.comp(w, x, y) for w in range(n))
             phi[(x, y)] = pscat.mor_index(
                 module.act_ob(source.hom(x, y), ob_map[x]), ob_map[y], comps)
-    return validate_mfun_et(source, module, ob_map, phi, name="Yoneda", caps=caps)
+    return validate_mfun_et(source, module, ob_map, phi, name="Yoneda")
 
 
 # --- Yoneda lemma and full faithfulness -------------------------------------
@@ -265,7 +266,7 @@ class BijectionReport:
         return not self.failures
 
 
-def _forward_map(pscat, F: Presheaf, x, m, alpha):
+def _forward_map(pscat, F: Presheaf, x, alpha):
     """eq. (F-action) ∘ (alpha ⊗ id): the presheaf map m ⊗ Y(x) -> F
     induced by alpha: m -> F(x), given by its component tuple."""
     source = pscat.source
@@ -292,7 +293,7 @@ def _bijection(pscat, module, ys, iF, x, m):
     lhs = list(pscat.source.base.hom(m, F.values[x]))
     rhs_comps = {pscat.morphisms[k].components
                  for k in pscat.mors_between(module.act_ob(m, ys[x]), iF)}
-    images = [_forward_map(pscat, F, x, m, a) for a in lhs]
+    images = [_forward_map(pscat, F, x, a) for a in lhs]
     kind = None
     if len(set(images)) != len(images):
         kind = "not-injective"
@@ -327,9 +328,8 @@ def check_yoneda_lemma(pscat: PresheafCategory) -> BijectionReport:
                 if not ok:
                     failures.append({**witness, "kind": "round-trip-forward"})
                     continue
-                ok = all(_forward_map(pscat, F, x, m,
-                                      _backward_map(pscat, x, m, comps)) == comps
-                         for comps in rhs_comps)
+                ok = all(_forward_map(pscat, F, x, _backward_map(pscat, x, m, comps))
+                         == comps for comps in rhs_comps)
                 if not ok:
                     failures.append({**witness, "kind": "round-trip-backward"})
     return BijectionReport(checked, tuple(failures))
@@ -352,7 +352,8 @@ def check_fully_faithful(pscat: PresheafCategory,
                          caps: Caps = DEFAULT_CAPS) -> FullyFaithfulReport:
     """The Yoneda bijection with F = Y(y) for all (m, x, y), plus recovery
     of hom(x, y) by the representing-object search on the enumerated
-    presheaf category."""
+    presheaf category.
+    ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read."""
     from .tensored import hom_object_all
 
     source = pscat.source
@@ -374,7 +375,7 @@ def check_fully_faithful(pscat: PresheafCategory,
     hom_records = []
     for x in range(source.n_objects):
         for y in range(source.n_objects):
-            all_reps = hom_object_all(module, ys[x], ys[y], caps)
+            all_reps = hom_object_all(module, ys[x], ys[y])
             hs = [h for h, _ in all_reps]
             found = hs[0] if hs else None
             expected = source.hom(x, y)
@@ -394,8 +395,7 @@ def _objects_isomorphic(base, a, b):
 
 # --- the op-dictionary -------------------------------------------------------
 
-def presheaf_to_mfun_et(f: Presheaf, source_op: MCat,
-                        caps: Caps = DEFAULT_CAPS) -> MFunET:
+def presheaf_to_mfun_et(f: Presheaf, source_op: MCat) -> MFunET:
     """A presheaf on A is exactly a functor from A-op (over the opposite
     base) to the base acting on itself through the opposite tensor.
 
@@ -405,11 +405,10 @@ def presheaf_to_mfun_et(f: Presheaf, source_op: MCat,
     target = base_as_module(source_op.base)
     n = f.source.n_objects
     phi = {(u, v): f.action[(v, u)] for u in range(n) for v in range(n)}
-    return validate_mfun_et(source_op, target, f.values, phi, caps=caps)
+    return validate_mfun_et(source_op, target, f.values, phi)
 
 
-def mfun_et_to_presheaf(g: MFunET, source: MCat,
-                        caps: Caps = DEFAULT_CAPS) -> Presheaf:
+def mfun_et_to_presheaf(g: MFunET, source: MCat) -> Presheaf:
     """Inverse dictionary; source must be the category g's source is the
     opposite of."""
     n = source.n_objects

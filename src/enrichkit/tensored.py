@@ -12,7 +12,6 @@ the validators and the functor layer only use these.
 
 import itertools
 
-from .caps import Caps, DEFAULT_CAPS
 from .errors import (
     BifunctorialityViolation,
     IllTypedComposite,
@@ -62,8 +61,7 @@ def base_as_module(base) -> TensorModule:
     return TensorModule(base)
 
 
-def validate_module(base, carrier: FinCat, act_ob, act_mor, name="",
-                    caps: Caps = DEFAULT_CAPS) -> TableModule:
+def validate_module(base, carrier: FinCat, act_ob, act_mor, name="") -> TableModule:
     """Exhaustive validation of a finite module.
 
     Object-level laws are checked before morphism-level typing, so a
@@ -228,18 +226,18 @@ def check_module_probes(mod, max_card=3):
     return checked
 
 
-def hom_object(mod, x, y, caps: Caps = DEFAULT_CAPS):
+def hom_object(mod, x, y):
     """First representing object (declaration order) for m -> Hom(m⊗x, y).
 
     Returns (h, universal map act(h, x) -> y) or None.  Universality means
     composition with the universal map bijects Hom_base(m, h) with
     Hom_carrier(act(m, x), y) for every base object m.
     """
-    found = hom_object_all(mod, x, y, caps)
+    found = hom_object_all(mod, x, y)
     return found[0] if found else None
 
 
-def hom_object_all(mod, x, y, caps: Caps = DEFAULT_CAPS):
+def hom_object_all(mod, x, y):
     """All representing objects with one universal map each."""
     base = mod.base
     out = []

@@ -1,3 +1,4 @@
+import dis
 import inspect
 import itertools
 import random
@@ -7,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrichkit import finset
-from enrichkit.corpus import CorpusSampler, swap_instance, terminal_weight
+from enrichkit.corpus import (
+    CorpusSampler,
+    boolean_chain_mcat,
+    swap_instance,
+    terminal_weight,
+)
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.finset import SkMap, SkSet
 from enrichkit import wcolim
-from enrichkit.errors import InternalError
+from enrichkit.errors import InternalError, ShapeMismatch
 from enrichkit.fincat import (
     chain_cat,
     loop_cat,
@@ -501,3 +507,135 @@ def test_presheaf_module_builds_each_coproduct_once(monkeypatch):
     calls.update(validate=0, coproduct_map=0)
     assert mediate(wc, wc.cocone.legs, wc.apex, PM) is not None
     assert calls == {"validate": 0, "coproduct_map": 0}
+
+
+# --- the presheaf module is the finite-set target, pointwise -----------------
+
+@pytest.mark.parametrize("make_cat, seed", [(walking_arrow, 0), (parallel_pair, 1),
+                                            (lambda: loop_cat(2), 2)],
+                         ids=["arrow", "parallel", "loop2"])
+def test_presheaf_module_agrees_with_finite_sets_pointwise(make_cat, seed):
+    # every component of every operation is what the finite-set target gives
+    # on that component; `seen` records that the rare paths were reached
+    A = mcat_from_fincat(make_cat())
+    PM, S = PresheafModule(A), FinSetModule()
+    xs = range(A.n_objects)
+    sampler = CorpusSampler(seed)
+    pool = ([yoneda_presheaf(A, x) for x in range(A.n_objects)] + [terminal_weight(A)]
+            + [sampler.random_presheaf(A) for _ in range(2)])
+    mors = [wcolim.structure_presheaf_mor(A, x, y) for x in xs for y in xs]
+    seen = set()
+
+    def covers(maps, target):
+        return all(S.jointly_surjective([m.components[x] for m in maps], target.values[x])
+                   for x in xs)
+
+    for P, Q in itertools.product(pool, repeat=2):
+        PQ, injs = PM.coproduct([P, Q])
+        for x in xs:
+            total, s_injs = S.coproduct([P.values[x], Q.values[x]])
+            assert PQ.values[x] == total
+            assert [i.components[x] for i in injs] == s_injs
+        assert PM.copair([P, Q], list(injs), PQ) == PM.id_of(PQ)
+        for maps in (list(injs), [injs[0]], [injs[1]]):
+            got = PM.jointly_surjective(maps, PQ)
+            assert got == covers(maps, PQ)
+            seen.add(("covered", got))
+        empty = PM.copair([], [], P)
+        assert (empty.source, empty.target) == (PM.coproduct([])[0], P)
+        assert empty.components == tuple(S.copair([], [], v) for v in P.values)
+        mors.extend(injs)
+
+    for P in pool:
+        PP, (i0, i1) = PM.coproduct([P, P])
+        swap = PM.copair([P, P], [i1, i0], PP)
+        assert swap.components == tuple(
+            S.copair([P.values[x]] * 2, [i1.components[x], i0.components[x]], PP.values[x])
+            for x in xs)
+        assert PM.id_of(PP).components == tuple(map(S.id_of, PP.values))
+        assert PM.compose(swap, i0).components == tuple(
+            map(S.compose, swap.components, i0.components))
+        assert PM.compose(swap, i0) == i1
+        inv = PM.inverse(swap)
+        assert inv.components == tuple(map(S.inverse, swap.components))
+        assert PM.compose(inv, swap) == PM.id_of(PP)
+        if PM.is_iso(swap) and swap != PM.id_of(PP):
+            seen.add("non-identity iso")
+
+        Qt, q = PM.coequalizer(i0, i1)
+        for x in xs:
+            quotient, proj = S.coequalizer(i0.components[x], i1.components[x])
+            assert (Qt.values[x], q.components[x]) == (quotient, proj)
+        for h in (PM.compose(q, swap), PM.id_of(PP)):
+            comps = tuple(map(S.factor, q.components, h.components))
+            u = PM.factor(q, h)
+            if None in comps:
+                assert u is None
+                seen.add("factor-none")
+            else:
+                assert (u.source, u.target, u.components) == (Qt, h.target, comps)
+
+        for u in (S.id_of(SkSet(2)), SkMap(SkSet(2), SkSet(1), (0, 0))):
+            t = PM.act_mor(u, swap)
+            assert (t.source, t.target) == (PM.act_ob(u.dom, PP), PM.act_ob(u.cod, PP))
+            assert t.components == tuple(S.act_mor(u, c) for c in swap.components)
+        mors += [swap, inv, q]
+
+    for t in mors:
+        assert PM.is_iso(t) == all(map(S.is_iso, t.components))
+        got = PM.jointly_surjective([t], t.target)
+        assert got == covers([t], t.target)
+        if not got and S.jointly_surjective([t.components[0]], t.target.values[0]):
+            seen.add("uncovered after the first object")
+
+    want = {("covered", True), ("covered", False), "non-identity iso", "factor-none"}
+    if A.n_objects > 1:
+        want.add("uncovered after the first object")
+    assert seen == want
+
+    Y = pool[0]
+    _, (j0, _) = PM.coproduct([Y, Y])
+    with pytest.raises(ShapeMismatch, match="not composable"):
+        PM.compose(j0, j0)
+    with pytest.raises(ShapeMismatch, match="finite-sets base"):
+        PresheafModule(boolean_chain_mcat())
+
+
+def _global_loads(code):
+    """(attributes loaded from the global finset, other global names) of a
+    code object and its nested code objects."""
+    instrs = list(dis.get_instructions(code))
+    attrs, names = set(), set()
+    for ins, nxt in zip(instrs, instrs[1:]):
+        if ins.opname == "LOAD_GLOBAL":
+            if ins.argval == "finset":
+                attrs.add(nxt.argval)
+            else:
+                names.add(ins.argval)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            a, n = _global_loads(const)
+            attrs |= a
+            names |= n
+    return attrs, names
+
+
+def test_presheaf_module_reaches_finset_only_for_coproduct_actions():
+    # every component goes through the finite-set target; the coproduct's
+    # action is one coproduct_map per slot, which the build counter above
+    # counts.  Follows the wcolim helpers the methods call.
+    seen = set()
+    todo = [f for f in vars(PresheafModule).values() if inspect.isfunction(f)]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        attrs, names = _global_loads(fn.__code__)
+        assert attrs <= {"coproduct_map"}, (fn.__qualname__, attrs)
+        for name in names:
+            value = getattr(wcolim, name, None)
+            assert getattr(value, "__module__", None) != "enrichkit.finset", (
+                fn.__qualname__, name)
+            if inspect.isfunction(value) and value.__module__ == wcolim.__name__:
+                todo.append(value)
