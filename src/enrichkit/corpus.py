@@ -11,6 +11,13 @@ drawn type-correct tables.  Random presheaves and diagrams are drawn by
 randomized backtracking over the shared law tables (``presheaf_laws``,
 ``mfun_et_laws``).  Every emitted structure passes its validator; attempts,
 acceptances and fallbacks are *reported*, never assumed.
+
+A draw is the first lawful assignment with each slot's candidates shuffled
+once.  The candidates of a slot are the lazy hom-set ``finset.Maps``: the
+draw shuffles its index order, then reads maps by index in that order, so
+it builds only the maps the search reaches.  The unit law comes first in
+both law tables it searches; it fixes the actions on the unit slots before
+any compatibility square is built.
 """
 
 import random
@@ -353,7 +360,7 @@ class CorpusSampler:
 
         def problem(vals):
             compat, unit = mfun_et_laws(A, B, vals)
-            return mfun_et_cands(A, B, vals), compat + unit
+            return mfun_et_cands(A, B, vals), unit + compat
 
         found = self._draw(A, problem, self.diagram_stats)
         if found is not None:
@@ -366,17 +373,37 @@ class CorpusSampler:
         """Up to 64 attempts: value cards drawn uniformly in 1..MAX_CARD,
         then the first solution of problem(values) = (candidates per slot,
         law table), each slot's candidates shuffled once, in slot order.
-        Returns (values, actions), or None after counting a fallback."""
+        Returns (values, actions), or None after counting a fallback.
+        The shuffle permutes a slot's indices, which takes the same rng
+        calls as shuffling its maps (``random.shuffle`` reads only the
+        length)."""
         for _ in range(64):
             stats.attempts += 1
             values = [SkSet(self.rng.randrange(1, MAX_CARD + 1))
                       for _ in range(A.n_objects)]
             cands, laws = problem(values)
-            for slot_cands in cands.values():
-                self.rng.shuffle(slot_cands)
-            actions = next(backtrack(cands, laws), None)
+            views = {}
+            for slot, seq in cands.items():
+                order = list(range(len(seq)))
+                self.rng.shuffle(order)
+                views[slot] = _InOrder(seq, order)
+            actions = next(backtrack(views, laws), None)
             if actions is not None:
                 stats.accepted += 1
                 return values, actions
         stats.fallbacks += 1
         return None
+
+
+class _InOrder:
+    """``seq`` read in the index order ``order``; iterable any number of
+    times, as the search re-enters a slot."""
+
+    __slots__ = ("seq", "order")
+
+    def __init__(self, seq, order):
+        self.seq = seq
+        self.order = order
+
+    def __iter__(self):
+        return map(self.seq.__getitem__, self.order)

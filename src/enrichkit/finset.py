@@ -16,10 +16,18 @@ empty map whenever their domain is empty.  No operation is memoized.  A
 ``SkMap`` computes its hash once, at construction, and compares by
 identity, then hash, then table and codomain.  A ``SkSet``/``SkMap`` built
 directly is equal to, and hashes like, the shared one.
+
+Hom-sets are lazy.  ``hom_maps`` checks the size of x -> y against the cap
+and returns a ``Maps`` sequence that builds a map only when it is read, by
+index or by iteration in lexicographic table order.  A seeded draw
+(``corpus.CorpusSampler``) shuffles the indices of such a sequence and reads
+maps in that order, so it builds only the maps its search reaches.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 import itertools
+import operator
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import Overflow, ShapeMismatch, SizeBound
@@ -270,17 +278,49 @@ def all_maps(x: SkSet, y: SkSet):
         yield SkMap(x, y, table)
 
 
-def hom_maps(x: SkSet, y: SkSet, caps: Caps = DEFAULT_CAPS):
+class Maps(Sequence):
+    """All maps x -> y in lexicographic table order, as a sequence that
+    builds each map when it is read: ``len`` is ``count_maps(x, y)``, item
+    i is the map whose table spells i in base |y|, most significant entry
+    first, and iteration is ``all_maps(x, y)``."""
+
+    __slots__ = ("dom", "cod", "_len", "_powers")
+
+    def __init__(self, x: SkSet, y: SkSet):
+        self.dom = x
+        self.cod = y
+        self._len = count_maps(x, y)
+        self._powers = [y.card ** k for k in range(x.card - 1, -1, -1)]
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("map index out of range")
+        base = self.cod.card
+        return SkMap(self.dom, self.cod, tuple([i // p % base for p in self._powers]))
+
+    def __iter__(self):
+        return all_maps(self.dom, self.cod)
+
+
+def hom_maps(x: SkSet, y: SkSet, caps: Caps = DEFAULT_CAPS) -> Maps:
+    """The hom-set x -> y as a lazy ``Maps`` sequence; its size is checked
+    against the cap before any map is built."""
     n = count_maps(x, y)
     if n > caps.max_search:
         raise SizeBound(f"{n} maps from {x} to {y} exceeds cap {caps.max_search}")
-    return tuple(all_maps(x, y))
+    return Maps(x, y)
 
 
 class SkSetCat:
     """Skeletal finite sets packaged with the carrier interface the
-    monoidal/enriched layers expect.  Objects are not enumerable; hom-sets
-    are finite and enumerated on demand."""
+    monoidal/enriched layers expect.  Objects are not enumerable; a hom-set
+    is a lazy ``Maps`` sequence, capped by ``max_search``."""
 
     thin = False
 

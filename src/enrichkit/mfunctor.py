@@ -12,6 +12,7 @@ model the compatibility square alone does not force it.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -155,25 +156,42 @@ def mfun_et_laws(source, target, ob_map):
     (Kelly 1982, §1.2): the compatibility square per (x, y, z), then the
     unit action per x.  Returned as two law tables (compat, unit) over the
     action slots (x, y); both are empty over a thin target, where the two
-    sides of each law share a hom-set once the actions are typed."""
+    sides of each law share a hom-set once the actions are typed.
+
+    The parts of a cell that do not depend on phi are computed at the point
+    of the law where the cell first needs them and then kept by the table:
+    a search pays for them once per cell, and a validator meets any error
+    they raise (``Overflow``) at the same cell and step as the law itself."""
     if target.thin:
         return [], []
     base = source.base
     xs = range(source.n_objects)
 
+    @cache
+    def ob_id(x):
+        return target.id_of(ob_map[x])
+
+    @cache
+    def hom_id(y, z):
+        return base.id_of(source.hom(y, z))
+
+    @cache
+    def comp_side(x, y, z):
+        return target.act_mor(source.comp(x, y, z), ob_id(x))
+
+    @cache
+    def unit_side(x):
+        return target.act_mor(source.unit(x), ob_id(x))
+
     def square(phi, cell):
         x, y, z = cell
-        lhs = target.compose(
-            phi[(x, z)], target.act_mor(source.comp(x, y, z), target.id_of(ob_map[x])))
-        rhs = target.compose(
-            phi[(y, z)], target.act_mor(base.id_of(source.hom(y, z)), phi[(x, y)]))
+        lhs = target.compose(phi[(x, z)], comp_side(x, y, z))
+        rhs = target.compose(phi[(y, z)], target.act_mor(hom_id(y, z), phi[(x, y)]))
         return lhs == rhs
 
     def unit_law(phi, cell):
         x, = cell
-        e = target.compose(phi[(x, x)],
-                           target.act_mor(source.unit(x), target.id_of(ob_map[x])))
-        return e == target.id_of(ob_map[x])
+        return target.compose(phi[(x, x)], unit_side(x)) == ob_id(x)
 
     return ([(((x, y), (y, z), (x, z)), square, (x, y, z))
              for x in xs for y in xs for z in xs],
@@ -214,19 +232,21 @@ def mfun_et_slots(source, target, ob_map):
 
 def mfun_et_cands(source, target, ob_map):
     """The type-correct action maps per slot, in slot order."""
-    return {slot: list(target.hom(dom, cod))
+    return {slot: target.hom(dom, cod)
             for slot, (dom, cod) in mfun_et_slots(source, target, ob_map)}
 
 
 def _et_assignments(source, target, caps, check_unit):
     """All (ob_map, phi, unit laws) with phi satisfying the compatibility
     square, in lex order; the unit laws are enforced only when check_unit
-    is set, and returned either way."""
+    is set, and returned either way.  They go first: the unit law fixes phi
+    on the unit slice before any square is built, and the solutions do not
+    depend on the order of the laws."""
     for ob_map, cands in bounded_plans(
             range(target.carrier.n_objects), source.n_objects,
             lambda ob_map: mfun_et_cands(source, target, ob_map), caps, "functor"):
         compat, unit = mfun_et_laws(source, target, ob_map)
-        for phi in backtrack(cands, compat + unit if check_unit else compat):
+        for phi in backtrack(cands, unit + compat if check_unit else compat):
             yield ob_map, phi, unit
 
 

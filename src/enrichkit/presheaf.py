@@ -14,6 +14,7 @@ base presheaves stay structured values (see the colimit layer).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -90,7 +91,7 @@ def presheaf_slots(source: MCat, values):
 
 def presheaf_cands(source: MCat, values):
     """The type-correct action maps per slot, in slot order."""
-    return {slot: list(source.base.hom(dom, cod))
+    return {slot: source.base.hom(dom, cod)
             for slot, (dom, cod) in presheaf_slots(source, values)}
 
 
@@ -99,24 +100,42 @@ def presheaf_laws(source: MCat, values):
     the unit action per x, then compatibility per (x, y, z).  Returned as
     two law tables (unit, compat) over the action slots (x, y); both are
     empty over a thin base, where the two sides of each law share a hom-set
-    once the actions are typed."""
+    once the actions are typed.
+
+    The parts of a cell that do not depend on the actions are computed at
+    the point of the law where the cell first needs them and then kept by
+    the table: a search pays for them once per cell, and a validator meets
+    any error they raise (``Overflow``) at the same cell and step as the law
+    itself."""
     base = source.base
     if base.thin:
         return [], []
     xs = range(source.n_objects)
 
+    @cache
+    def value_id(x):
+        return base.id_of(values[x])
+
+    @cache
+    def hom_id(x, y):
+        return base.id_of(source.hom(x, y))
+
+    @cache
+    def unit_side(x):
+        return base.tensor_mor(value_id(x), source.unit(x))
+
+    @cache
+    def comp_side(x, y, z):
+        return base.tensor_mor(value_id(z), source.comp(x, y, z))
+
     def unit_law(act, cell):
         x, = cell
-        e = base.compose(act[(x, x)],
-                         base.tensor_mor(base.id_of(values[x]), source.unit(x)))
-        return e == base.id_of(values[x])
+        return base.compose(act[(x, x)], unit_side(x)) == value_id(x)
 
     def compat_law(act, cell):
         x, y, z = cell
-        c1 = base.compose(act[(x, y)],
-                          base.tensor_mor(act[(y, z)], base.id_of(source.hom(x, y))))
-        c2 = base.compose(act[(x, z)],
-                          base.tensor_mor(base.id_of(values[z]), source.comp(x, y, z)))
+        c1 = base.compose(act[(x, y)], base.tensor_mor(act[(y, z)], hom_id(x, y)))
+        c2 = base.compose(act[(x, z)], comp_side(x, y, z))
         return c1 == c2
 
     return ([(((x, x),), unit_law, (x,)) for x in xs],

@@ -520,10 +520,12 @@ class EquivalenceReport:
         return not self.failures
 
 
-def check_round_trip(F: MFunET):
-    """res(ext(F)) ≅ F via an explicit invertible functor morphism;
-    returns (witnesses, failures)."""
-    G = ext(F)
+def check_round_trip(F: MFunET, G: Ext = None):
+    """res(G) ≅ F via an explicit invertible functor morphism, for G the
+    given ``ext(F)`` (built when none is given); returns (res(G), the
+    witnesses, failures)."""
+    if G is None:
+        G = ext(F)
     B = G.module
     Fp = res(G)
     mu = round_trip_components(F, G)
@@ -540,7 +542,7 @@ def check_round_trip(F: MFunET):
     return Fp, mu, failures
 
 
-def check_equivalence(entries, seed=0, caps: Caps = DEFAULT_CAPS) -> EquivalenceReport:
+def check_equivalence(entries, caps: Caps = DEFAULT_CAPS) -> EquivalenceReport:
     """Theorem-level properties on a corpus of (A, F, weights):
 
     (i) res∘ext ≅ id via explicit invertible morphisms;
@@ -548,9 +550,6 @@ def check_equivalence(entries, seed=0, caps: Caps = DEFAULT_CAPS) -> Equivalence
          non-representable ones, naturally in the weight;
     (iii) ext F preserves coproducts and coequalizers of weights computed
          pointwise in the presheaf category.
-
-    ``seed`` is accepted because ``tests/test_acceptance.py`` passes it; it
-    is not read.
     """
     entries = list(entries)
     checks = 0
@@ -558,7 +557,7 @@ def check_equivalence(entries, seed=0, caps: Caps = DEFAULT_CAPS) -> Equivalence
     for A, F, weights in entries:
         G = ext(F)
         B = G.module
-        Fp, mu, fails = check_round_trip(F)
+        Fp, mu, fails = check_round_trip(F, G)
         checks += 1
         failures.extend(fails)
         Gp = ext(Fp, B)
@@ -605,7 +604,7 @@ def check_equivalence(entries, seed=0, caps: Caps = DEFAULT_CAPS) -> Equivalence
             checks += 1
             if med is None or not B.is_iso(med):
                 failures.append({"kind": "coequalizer-not-preserved"})
-    return EquivalenceReport(len(list(entries)), checks, tuple(failures))
+    return EquivalenceReport(len(entries), checks, tuple(failures))
 
 
 def _comparison(G: Ext, Gp: Ext, mu, W: Presheaf, B):

@@ -195,7 +195,7 @@ def test_criterion_5_ext_res_equivalence():
         Fr = sampler.random_diagram(Ar)
         entries.append((Ar, Fr, [sampler.random_presheaf(Ar),
                                  terminal_weight(Ar)]))
-    rep = check_equivalence(entries, seed=SEED)
+    rep = check_equivalence(entries)
     ok = rep.passed
     assert _verdict(
         5, ok,

@@ -45,6 +45,7 @@ from enrichkit.monoidal import (
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
+    validate_monoidal,
 )
 from enrichkit.presheaf import check_presheaf_mor, enumerate_presheaves, validate_presheaf
 from enrichkit.tensored import base_as_module, validate_module
@@ -228,6 +229,36 @@ def test_module_law_row_check_raises_brute_force_witness():
             for u in range(B.n_morphisms) for h in range(carrier.n_morphisms)}
     want = brute_module_failure(base, carrier, aob, amor)
     assert want == (ModuleLawViolation, {"u": "id_s", "v": "id_s", "h": "r1"})
+    assert module_outcome(base, carrier, aob, amor) == want
+
+
+def test_module_law_witness_off_the_generator_rows():
+    # The 3-chain under meet, its morphisms declared le01, le12, le02, then
+    # the identities: greedily S = {le01, le12}, and le02 = le12∘le01 lies
+    # outside S.  Z2 acts by h -> a(u) + h with a(le01) = a(le02) = 1 and
+    # a(le12) = 0, so each action is a functor and only the module law on
+    # morphisms fails.  Its first failing row in the full scan, (le01, le01),
+    # has no identity in it, so no generator row names it.
+    names = {(0, 1): "le01", (1, 2): "le12", (0, 2): "le02",
+             (0, 0): "id_0", (1, 1): "id_1", (2, 2): "id_2"}
+    chain = validate_fincat(
+        ["0", "1", "2"], [(n, str(i), str(j)) for (i, j), n in names.items()],
+        [(names[(j, k)], names[(i, j)], names[(i, k)])
+         for i in range(3) for j in range(i, 3) for k in range(j, 3)])
+    base = validate_monoidal(
+        chain, "2",
+        [(str(a), str(b), str(min(a, b))) for a in range(3) for b in range(3)],
+        [(un, vn, names[(min(du, dv), min(cu, cv))])
+         for (du, cu), un in names.items() for (dv, cv), vn in names.items()])
+    B = base.carrier
+    assert [B.mor_name(s) for s in B.generators()] == ["le01", "le12"]
+    carrier = loop_cat(2)
+    shift = {"le01": 1, "le02": 1}
+    aob = {(m, 0): 0 for m in range(B.n_objects)}
+    amor = {(u, h): (shift.get(B.mor_name(u), 0) + h) % 2
+            for u in range(B.n_morphisms) for h in range(carrier.n_morphisms)}
+    want = brute_module_failure(base, carrier, aob, amor)
+    assert want == (ModuleLawViolation, {"u": "le01", "v": "le01", "h": "r0"})
     assert module_outcome(base, carrier, aob, amor) == want
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from enrichkit import finset
 from enrichkit.caps import Caps
-from enrichkit.errors import Overflow, ShapeMismatch
+from enrichkit.errors import Overflow, ShapeMismatch, SizeBound
 from enrichkit.finset import SkMap, SkSet
 
 
@@ -330,3 +330,30 @@ def test_public_functions_are_plain_functions():
     assert {"compose", "product_map", "coequalizer", "identity"} <= set(public)
     assert [name for name, value in public.items()
             if not inspect.isfunction(value)] == []
+
+
+def test_hom_maps_is_a_lazy_sequence_in_all_maps_order():
+    for a in range(4):
+        for b in range(4):
+            x, y = SkSet(a), SkSet(b)
+            eager = list(finset.all_maps(x, y))
+            lazy = finset.hom_maps(x, y)
+            assert len(lazy) == len(eager) == finset.count_maps(x, y)
+            assert [lazy[i] for i in range(len(lazy))] == eager
+            assert list(lazy) == eager and list(lazy) == eager  # re-iterable
+            assert [lazy[-1 - i] for i in range(len(lazy))] == eager[::-1]
+            for i in (len(eager), -len(eager) - 1, 10 ** 6):
+                with pytest.raises(IndexError):
+                    lazy[i]
+
+
+def test_hom_maps_checks_the_cap_before_building_a_map(monkeypatch):
+    def no_map(*args):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(finset, "SkMap", no_map)
+    with pytest.raises(SizeBound):
+        finset.hom_maps(SkSet(3), SkSet(3), Caps(max_search=26))
+    with pytest.raises(SizeBound):
+        finset.hom_maps(SkSet(40), SkSet(40))
+    assert len(finset.hom_maps(SkSet(3), SkSet(3), Caps(max_search=27))) == 27
