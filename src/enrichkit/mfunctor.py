@@ -175,23 +175,23 @@ def mfun_et_laws(source, target, ob_map):
     def hom_id(y, z):
         return base.id_of(source.hom(y, z))
 
-    @cache
-    def comp_side(x, y, z):
-        return target.act_mor(source.comp(x, y, z), ob_id(x))
-
-    @cache
-    def unit_side(x):
-        return target.act_mor(source.unit(x), ob_id(x))
+    sides = {}  # per cell: act(comp(x, y, z), id) or act(unit(x), id)
 
     def square(phi, cell):
         x, y, z = cell
-        lhs = target.compose(phi[(x, z)], comp_side(x, y, z))
+        side = sides.get(cell)
+        if side is None:
+            side = sides[cell] = target.act_mor(source.comp(x, y, z), ob_id(x))
+        lhs = target.compose(phi[(x, z)], side)
         rhs = target.compose(phi[(y, z)], target.act_mor(hom_id(y, z), phi[(x, y)]))
         return lhs == rhs
 
     def unit_law(phi, cell):
         x, = cell
-        return target.compose(phi[(x, x)], unit_side(x)) == ob_id(x)
+        side = sides.get(cell)
+        if side is None:
+            side = sides[cell] = target.act_mor(source.unit(x), ob_id(x))
+        return target.compose(phi[(x, x)], side) == ob_id(x)
 
     return ([(((x, y), (y, z), (x, z)), square, (x, y, z))
              for x in xs for y in xs for z in xs],

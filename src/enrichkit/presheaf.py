@@ -120,23 +120,22 @@ def presheaf_laws(source: MCat, values):
     def hom_id(x, y):
         return base.id_of(source.hom(x, y))
 
-    @cache
-    def unit_side(x):
-        return base.tensor_mor(value_id(x), source.unit(x))
-
-    @cache
-    def comp_side(x, y, z):
-        return base.tensor_mor(value_id(z), source.comp(x, y, z))
+    sides = {}  # per cell: id ⊗ unit(x) or id ⊗ comp(x, y, z)
 
     def unit_law(act, cell):
         x, = cell
-        return base.compose(act[(x, x)], unit_side(x)) == value_id(x)
+        side = sides.get(cell)
+        if side is None:
+            side = sides[cell] = base.tensor_mor(value_id(x), source.unit(x))
+        return base.compose(act[(x, x)], side) == value_id(x)
 
     def compat_law(act, cell):
         x, y, z = cell
         c1 = base.compose(act[(x, y)], base.tensor_mor(act[(y, z)], hom_id(x, y)))
-        c2 = base.compose(act[(x, z)], comp_side(x, y, z))
-        return c1 == c2
+        side = sides.get(cell)
+        if side is None:
+            side = sides[cell] = base.tensor_mor(value_id(z), source.comp(x, y, z))
+        return c1 == base.compose(act[(x, z)], side)
 
     return ([(((x, x),), unit_law, (x,)) for x in xs],
             [(((x, y), (y, z), (x, z)), compat_law, (x, y, z))
