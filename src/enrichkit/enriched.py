@@ -27,8 +27,16 @@ from .monoidal import finset_product_monoidal, opposite_monoidal
 class MCat:
     """A validated enriched category.  Construct via ``validate_mcat``.
 
-    Equality and hash are structural (the name is ignored); the hash is
-    computed once here because presheaf keys hash their source.
+    ``support`` lists the pairs (x, y) whose hom(x, y) is not null in the
+    base (``is_null``), in lexicographic order, and ``support_triples`` the
+    (x, y, z) with (x, y) and (y, z) both in it.  A law cell whose domain
+    tensors a null hom-object is a pair of maps out of an initial object,
+    so it holds (Kelly 1982, §1.2); the law tables keep only the cells over
+    these pairs and triples.  Over a table base the support is every pair.
+
+    Equality and hash are structural (the name is ignored, and the support
+    is derived); the hash is computed once here because presheaf keys hash
+    their source.
     """
 
     def __init__(self, base, objects, hom, unit, comp, name=""):
@@ -41,6 +49,13 @@ class MCat:
         self._hash = hash((base, self.objects, frozenset(self._hom.items()),
                            frozenset(self._unit.items()),
                            frozenset(self._comp.items())))
+        xs = range(len(self.objects))
+        self.support = tuple((x, y) for x in xs for y in xs
+                             if not base.is_null(self._hom[(x, y)]))
+        succ = [[] for _ in xs]
+        for x, y in self.support:
+            succ[x].append(y)
+        self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
 
     @property
     def n_objects(self):

@@ -156,7 +156,10 @@ def mfun_et_laws(source, target, ob_map):
     (Kelly 1982, §1.2): the compatibility square per (x, y, z), then the
     unit action per x.  Returned as two law tables (compat, unit) over the
     action slots (x, y); both are empty over a thin target, where the two
-    sides of each law share a hom-set once the actions are typed.
+    sides of each law share a hom-set once the actions are typed.  Cells
+    with an initial hom factor are discharged: the square is a pair of maps
+    out of act(hom(y, z) ⊗ hom(x, y), ob_map[x]), so it runs over
+    ``source.support_triples`` only.
 
     The parts of a cell that do not depend on phi are computed at the point
     of the law where the cell first needs them and then kept by the table:
@@ -194,18 +197,20 @@ def mfun_et_laws(source, target, ob_map):
         return target.compose(phi[(x, x)], side) == ob_id(x)
 
     return ([(((x, y), (y, z), (x, z)), square, (x, y, z))
-             for x in xs for y in xs for z in xs],
+             for x, y, z in source.support_triples],
             [(((x, x),), unit_law, (x,)) for x in xs])
 
 
 def mfun_square_laws(f: MFunET, g: MFunET):
     """The morphism square g(x,y) ∘ act(id, t_x) = t_y ∘ f(x,y) per (x, y),
-    as a law table over the component slots x; empty over a thin target."""
+    as a law table over the component slots x; empty over a thin target.
+    The square is a pair of maps out of act(hom(x, y), f(x)), so it runs
+    over ``source.support`` only: cells with an initial hom factor are
+    discharged."""
     source, target = f.source, f.target
     if target.thin:
         return []
     base = source.base
-    xs = range(source.n_objects)
 
     def square(t, cell):
         x, y = cell
@@ -213,7 +218,7 @@ def mfun_square_laws(f: MFunET, g: MFunET):
                              target.act_mor(base.id_of(source.hom(x, y)), t[x]))
         return lhs == target.compose(t[y], f.phi[cell])
 
-    return [((x, y), square, (x, y)) for x in xs for y in xs]
+    return [((x, y), square, (x, y)) for x, y in source.support]
 
 
 def check_mfun_mor(f: MFunET, g: MFunET, components):

@@ -7,10 +7,10 @@ opposite structure swaps the tensor arguments and is an involution on the
 nose.
 
 Both backends are categories through their carrier (``bind_carrier``) and
-add ``unit``, ``tensor_ob`` and ``tensor_mor``; the finite one also lists
-``objects()`` and ``morphisms()``.  Downstream code only calls these, so
-enriched categories, modules and presheaves work identically over finite
-tables and over skeletal finite sets.
+add ``unit``, ``tensor_ob``, ``tensor_mor`` and ``is_null``; the finite one
+also lists ``objects()`` and ``morphisms()``.  Downstream code only calls
+these, so enriched categories, modules and presheaves work identically over
+finite tables and over skeletal finite sets.
 """
 
 import itertools
@@ -53,6 +53,12 @@ class MonStr:
 
     def tensor_mor(self, u, v):
         return self._tmor[(u, v)]
+
+    def is_null(self, a):
+        """No object of a table base counts as null (see
+        ``SkSetMonStr.is_null``): deciding it would need a search for
+        initial objects, and answering no only keeps law cells."""
+        return False
 
     def __eq__(self, other):
         if isinstance(other, SkSetMonStr):
@@ -104,6 +110,13 @@ class SkSetMonStr:
         if self.kind == "product":
             return finset.product_map(u, v, self.caps)
         return finset.coproduct_map([u, v], self.caps)
+
+    def is_null(self, a):
+        """Whether a is null: initial, with every tensor by it and every
+        action by it on a module over this base initial again.  Under the
+        product that is the empty set (∅ × b = ∅); under the coproduct the
+        empty set is the unit and nothing is null."""
+        return self.kind == "product" and a.card == 0
 
     def probe_objects(self, max_card=3):
         return [SkSet(c) for c in range(max_card + 1)]

@@ -100,7 +100,10 @@ def presheaf_laws(source: MCat, values):
     the unit action per x, then compatibility per (x, y, z).  Returned as
     two law tables (unit, compat) over the action slots (x, y); both are
     empty over a thin base, where the two sides of each law share a hom-set
-    once the actions are typed.
+    once the actions are typed.  Cells with an initial hom factor are
+    discharged: compatibility is a pair of maps out of
+    values[z] ⊗ hom(y, z) ⊗ hom(x, y), so it runs over
+    ``source.support_triples`` only.
 
     The parts of a cell that do not depend on the actions are computed at
     the point of the law where the cell first needs them and then kept by
@@ -139,17 +142,19 @@ def presheaf_laws(source: MCat, values):
 
     return ([(((x, x),), unit_law, (x,)) for x in xs],
             [(((x, y), (y, z), (x, z)), compat_law, (x, y, z))
-             for x in xs for y in xs for z in xs])
+             for x, y, z in source.support_triples])
 
 
 def presheaf_square_laws(f: Presheaf, g: Presheaf):
     """The morphism square g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) per (x, y), as
-    a law table over the component slots x; empty over a thin base."""
+    a law table over the component slots x; empty over a thin base.  The
+    square is a pair of maps out of f(y) ⊗ hom(x, y), so it runs over
+    ``source.support`` only: cells with an initial hom factor are
+    discharged."""
     source = f.source
     base = source.base
     if base.thin:
         return []
-    xs = range(source.n_objects)
 
     def square(t, cell):
         x, y = cell
@@ -157,7 +162,7 @@ def presheaf_square_laws(f: Presheaf, g: Presheaf):
                            base.tensor_mor(t[y], base.id_of(source.hom(x, y))))
         return lhs == base.compose(t[x], f.action[cell])
 
-    return [((x, y), square, (x, y)) for x in xs for y in xs]
+    return [((x, y), square, (x, y)) for x, y in source.support]
 
 
 def tensor_presheaf(m, f: Presheaf) -> Presheaf:

@@ -61,9 +61,12 @@ class FinSetModule(TensorModule):
         return total, injs
 
     def copair(self, objs, maps, cod):
-        if not maps:
+        if not objs and not maps:
             return finset.initial_map(cod)
-        return finset.copair(objs, maps, self.caps)
+        h = finset.copair(objs, maps, self.caps)
+        if h.cod != cod:
+            raise ShapeMismatch("copair: maps do not land in cod")
+        return h
 
     def coequalizer(self, f, g):
         return finset.coequalizer(f, g)

@@ -639,3 +639,23 @@ def test_presheaf_module_reaches_finset_only_for_coproduct_actions():
                 fn.__qualname__, name)
             if inspect.isfunction(value) and value.__module__ == wcolim.__name__:
                 todo.append(value)
+
+
+def test_finset_copair_with_parts_and_no_maps_is_a_length_mismatch():
+    # the empty copair is the map out of an empty coproduct; parts with no
+    # maps are a mismatch, as in finset.copair
+    B = FinSetModule()
+    assert B.copair([], [], SkSet(3)) == finset.initial_map(SkSet(3))
+    with pytest.raises(ShapeMismatch, match="length mismatch"):
+        B.copair([SkSet(2)], [], SkSet(3))
+    with pytest.raises(ShapeMismatch, match="length mismatch"):
+        B.copair([], [finset.identity(SkSet(1))], SkSet(1))
+
+
+def test_finset_copair_rejects_maps_landing_outside_cod():
+    B = FinSetModule()
+    parts = [SkSet(1), SkSet(2)]
+    maps = [SkMap(SkSet(1), SkSet(2), (1,)), SkMap(SkSet(2), SkSet(2), (0, 0))]
+    assert B.copair(parts, maps, SkSet(2)) == SkMap(SkSet(3), SkSet(2), (1, 0, 0))
+    with pytest.raises(ShapeMismatch, match="cod"):
+        B.copair(parts, maps, SkSet(3))
