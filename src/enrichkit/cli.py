@@ -20,9 +20,10 @@ from types import SimpleNamespace
 from . import finset
 from .caps import DEFAULT_CAPS, scaled
 from .corpus import CorpusSampler, terminal_weight
-from .enriched import mcat_from_fincat, validate_mcat
+from .enriched import mcat_from_fincat, slot_error, slot_type, validate_mcat
 from .errors import (
     EnrichKitError,
+    IllTypedComposite,
     Overflow,
     ParseError,
     SchemaViolation,
@@ -93,6 +94,8 @@ def parse_spec(path) -> SpecFile:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}")
     if not text.strip():
         raise SchemaViolation(f"{path}: missing required 'enrichkit-spec' version field")
     try:
@@ -322,12 +325,33 @@ def _built(section):
     return wrap
 
 
-def _table_map(dom, cod, table, message, witness):
+def _cells(rows, what, letters, objects=None):
+    """{cell: value} from the rows (*cell, value) of a spec table; a cell
+    of one entry is keyed by that entry.  A row may repeat, but a cell given
+    two values fails as conflicting compose entries do: an
+    ``IllTypedComposite`` whose witness names the cell under the keys
+    ``letters``, through ``objects`` when its entries are object indices."""
+    out = {}
+    for *cell, value in rows:
+        key = cell[0] if len(cell) == 1 else tuple(cell)
+        if out.setdefault(key, value) != value:
+            shown = [objects[c] for c in cell] if objects else cell
+            raise IllTypedComposite(
+                f"conflicting {what} entries for ({', '.join(map(repr, shown))})",
+                witness=dict(zip(letters, shown)))
+    return out
+
+
+def _mistyped_action(A, cell):
+    return TypeMismatch("action component has wrong dom/cod", witness=A.cell_names(cell))
+
+
+def _table_map(dom, cod, table, error):
     """The map dom -> cod with a spec's function table.  A table of another
     length or with an entry outside cod fails as the validator's typing
-    check would: a TypeMismatch naming the declaration's cell."""
+    check would: ``error``, a TypeMismatch naming the declaration's cell."""
     if len(table) != dom.card or not all(0 <= v < cod.card for v in table):
-        raise TypeMismatch(message, witness=witness)
+        raise error
     return SkMap(dom, cod, tuple(table))
 
 
@@ -354,35 +378,36 @@ class Builder:
             return finset_product_monoidal(self.caps)
         if decl.carrier == "finset-coproduct":
             return finset_coproduct_monoidal(self.caps)
+        _cells(decl.tensor_ob, "tensor_ob", "ab")
+        _cells(decl.tensor_mor, "tensor_mor", "fg")
         return validate_monoidal(self.category(decl.carrier), decl.unit,
                                  decl.tensor_ob, decl.tensor_mor, name=name)
 
     @_built("enriched")
     def enriched(self, decl, name):
         base = self.monoidal(decl.base)
+        obs = decl.objects
+        hom = _cells(decl.hom, "hom", "xy", obs)
+        unit = _cells(decl.unit, "unit", "x", obs)
+        comp = _cells(decl.comp, "comp", "xyz", obs)
         if base.is_finite:
             carrier = base.carrier
-            hom = {(x, y): carrier.obj(ob) for x, y, ob in decl.hom}
-            unit = {x: carrier.mor(m) for x, m in decl.unit}
-            comp = {(x, y, z): carrier.mor(m) for x, y, z, m in decl.comp}
+            hom = {xy: carrier.obj(ob) for xy, ob in hom.items()}
+            unit = {x: carrier.mor(m) for x, m in unit.items()}
+            comp = {xyz: carrier.mor(m) for xyz, m in comp.items()}
         else:
-            hom = {(x, y): SkSet(ob) for x, y, ob in decl.hom}
-            unit, comp = {}, {}
+            hom = {xy: SkSet(ob) for xy, ob in hom.items()}
+
+            def typed(tables):
+                return {slot: _table_map(*slot_type(base, hom, slot), table,
+                                         slot_error(obs, slot))
+                        for slot, table in tables.items()}
+
             # the tables are typed by hom: when a hom cell is missing, the
             # validator names it before reading them
-            if len(hom) == len(decl.objects) ** 2:
-                obs = decl.objects
-                unit = {x: _table_map(
-                            SkSet(1), hom[(x, x)], m,
-                            f"unit of {obs[x]!r} is not a morphism 1 -> hom(x, x)",
-                            {"x": obs[x]})
-                        for x, m in decl.unit}
-                comp = {(x, y, z): _table_map(
-                            base.tensor_ob(hom[(y, z)], hom[(x, y)]), hom[(x, z)], m,
-                            f"comp({obs[x]!r}, {obs[y]!r}, {obs[z]!r}) has wrong dom/cod",
-                            {"x": obs[x], "y": obs[y], "z": obs[z]})
-                        for x, y, z, m in decl.comp}
-        return validate_mcat(base, decl.objects, hom, unit, comp, name=name)
+            unit, comp = ((typed(unit), typed(comp)) if len(hom) == len(obs) ** 2
+                          else ({}, {}))
+        return validate_mcat(base, obs, hom, unit, comp, name=name)
 
     @_built("enriched")
     def presheaf_category(self, decl, name):
@@ -395,9 +420,9 @@ class Builder:
             return base_as_module(base)
         carrier, bc = self.category(decl.carrier), base.carrier
         act_ob = {(bc.obj(m), carrier.obj(c)): carrier.obj(c2)
-                  for m, c, c2 in decl.act_ob}
+                  for (m, c), c2 in _cells(decl.act_ob, "act_ob", "mb").items()}
         act_mor = {(bc.mor(u), carrier.mor(h)): carrier.mor(h2)
-                   for u, h, h2 in decl.act_mor}
+                   for (u, h), h2 in _cells(decl.act_mor, "act_mor", "uh").items()}
         return validate_module(base, carrier, act_ob, act_mor, name=name)
 
     @_built("mfunctors")
@@ -405,9 +430,8 @@ class Builder:
         A = self.ingested(decl.source)
         ob_map = [SkSet(decl.ob_map[x]) for x in range(A.n_objects)]
         phi = {(x, y): _table_map(finset.product(A.hom(x, y), ob_map[x], self.caps),
-                                  ob_map[y], table, "action component has wrong dom/cod",
-                                  A.cell_names((x, y)))
-               for x, y, table in decl.phi}
+                                  ob_map[y], table, _mistyped_action(A, (x, y)))
+               for (x, y), table in _cells(decl.phi, "phi", "xy", A.objects).items()}
         return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi, name=name)
 
     @_built("presheaves")
@@ -415,7 +439,8 @@ class Builder:
         A = self.enriched(decl.source)
         carrier = A.base.carrier
         values = [carrier.obj(decl.values[x]) for x in range(A.n_objects)]
-        action = {(x, y): carrier.mor(m) for x, y, m in decl.action}
+        action = {xy: carrier.mor(m)
+                  for xy, m in _cells(decl.action, "action", "xy", A.objects).items()}
         return validate_presheaf(A, values, action)
 
     @_built("weights")
@@ -423,9 +448,8 @@ class Builder:
         A = self.ingested(decl.source)
         values = [SkSet(decl.values[x]) for x in range(A.n_objects)]
         action = {(x, y): _table_map(finset.product(values[y], A.hom(x, y), self.caps),
-                                     values[x], table, "action component has wrong dom/cod",
-                                     A.cell_names((x, y)))
-                  for x, y, table in decl.action}
+                                     values[x], table, _mistyped_action(A, (x, y)))
+                  for (x, y), table in _cells(decl.action, "action", "xy", A.objects).items()}
         return validate_presheaf(A, values, action)
 
 
@@ -722,8 +746,12 @@ def main(argv=None):
     else:
         sys.stdout.write(report.to_human())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_machine_json())
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_machine_json())
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: {exc}", file=sys.stderr)
+            return 2
     if report.resource_error:
         return 3
     return 0 if report.failure_count == 0 else 1

@@ -20,13 +20,14 @@ both law tables it searches; it fixes the actions on the unit slots before
 any compatibility square is built.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from . import finset
 from .caps import Caps, DEFAULT_CAPS
-from .enriched import MCat, mcat_from_fincat, validate_mcat
-from .errors import EnrichKitError, SizeBound
+from .enriched import MCat, mcat_from_fincat, mcat_slots, slot_type, validate_mcat
+from .errors import ValidationError
 from .fincat import (
     chain_cat,
     discrete_cat,
@@ -90,12 +91,8 @@ def boolean_chain_mcat():
     hom = {(0, 0): one, (0, 1): one, (1, 1): one, (1, 0): zero}
     unit = {0: bc.mor("id_1"), 1: bc.mor("id_1")}
     names = {(zero, zero): "id_0", (one, one): "id_1", (zero, one): "le01"}
-    comp = {}
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                d = B.tensor_ob(hom[(y, z)], hom[(x, y)])
-                comp[(x, y, z)] = bc.mor(names[(d, hom[(x, z)])])
+    comp = {xyz: bc.mor(names[slot_type(B, hom, xyz)])
+            for xyz in itertools.product(range(2), repeat=3)}
     return validate_mcat(B, ["a", "b"], hom, unit, comp, name="bool-chain2")
 
 
@@ -107,11 +104,8 @@ def s3_two_object_mcat(cross="s12"):
     c = mc.obj(cross)
     hom = {(0, 0): e, (1, 1): e, (0, 1): c, (1, 0): c}
     unit = {0: mc.id_of(e), 1: mc.id_of(e)}
-    comp = {}
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                comp[(x, y, z)] = mc.id_of(M.tensor_ob(hom[(y, z)], hom[(x, y)]))
+    comp = {xyz: mc.id_of(slot_type(M, hom, xyz)[0])
+            for xyz in itertools.product(range(2), repeat=3)}
     return validate_mcat(M, ["x", "y"], hom, unit, comp, name="s3-pair")
 
 
@@ -272,9 +266,10 @@ class CorpusSampler:
         """Rejection sampling over hom/unit/comp tables; returns the
         accepted MCat together with its presheaf enumeration.
 
-        Choices are drawn uniformly from the type-correct candidates (a
-        diagonal hom must admit a unit, a composable pair must admit some
-        composition morphism); everything else is left to the validator.
+        Choices are drawn uniformly: the homs (a diagonal one must admit a
+        unit), then per slot of ``mcat_slots`` a morphism of its
+        ``slot_type`` (a slot with none rejects the attempt); the laws are
+        left to the validator.  An enumeration over the caps raises SizeBound.
         """
         from .presheaf import enumerate_presheaves
 
@@ -283,46 +278,29 @@ class CorpusSampler:
             self.mcat_stats.attempts += 1
             n = self.rng.choice([1, 1, 2, 2, 2, 3])
             hom = {}
-            ok = True
             for x in range(n):
                 hom[(x, x)] = self.rng.choice(unit_ok)
             for x in range(n):
                 for y in range(n):
                     if x != y:
                         hom[(x, y)] = self.rng.choice(list(M.objects()))
-            unit = {}
-            for x in range(n):
-                cands = M.hom(M.unit, hom[(x, x)])
-                unit[x] = self.rng.choice(list(cands))
-            comp = {}
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        cands = M.hom(M.tensor_ob(hom[(y, z)], hom[(x, y)]),
-                                      hom[(x, z)])
-                        if not cands:
-                            ok = False
-                            break
-                        comp[(x, y, z)] = self.rng.choice(list(cands))
-                    if not ok:
-                        break
-                if not ok:
+            drawn = {}
+            for slot in mcat_slots(n):
+                cands = M.hom(*slot_type(M, hom, slot))
+                if not cands:
                     break
-            if not ok:
-                continue
-            try:
-                A = validate_mcat(M, [f"a{i}" for i in range(n)], hom, unit, comp,
-                                  name="random-mcat")
-            except EnrichKitError:
-                continue
-            try:
+                drawn[slot] = self.rng.choice(cands)
+            else:
+                unit = {x: drawn.pop(x) for x in range(n)}
+                try:
+                    A = validate_mcat(M, [f"a{i}" for i in range(n)], hom, unit, drawn,
+                                      name="random-mcat")
+                except ValidationError:
+                    continue
                 pscat = enumerate_presheaves(A, self.caps)
-            except SizeBound:
-                continue
-            if len(pscat.presheaves) > PRESHEAF_BUDGET:
-                continue
-            self.mcat_stats.accepted += 1
-            return A, pscat
+                if len(pscat.presheaves) <= PRESHEAF_BUDGET:
+                    self.mcat_stats.accepted += 1
+                    return A, pscat
 
     # -- ordinary categories for the colimit layer
     def random_fincat(self):

@@ -1,15 +1,17 @@
 """Categories enriched over a strict monoidal base.
 
 An ``MCat`` stores hom-objects of the base plus unit and composition
-morphisms; both enriched axioms are checked exhaustively over all object
-triples and quadruples.  Because the base is strict, the unparenthesized
-triple tensor is well defined and every axiom is a plain equality of base
-morphisms.
+morphisms; their types (``slot_type``) and both axioms (``mcat_laws``) are
+stated once, for the validator, the sampler and the spec builder.  Because
+the base is strict, the unparenthesized triple tensor is well defined and
+every axiom is a plain equality of base morphisms.
 
 A locally finite ordinary category embeds as a category enriched over
 skeletal finite sets (``mcat_from_fincat``); that is how the cocomplete
 base of the colimit layer enters.
 """
+
+import itertools
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -22,6 +24,7 @@ from .errors import (
 from .fincat import FinCat
 from .finset import SkMap, SkSet
 from .monoidal import finset_product_monoidal, opposite_monoidal
+from .search import failures
 
 
 class MCat:
@@ -32,7 +35,8 @@ class MCat:
     (x, y, z) with (x, y) and (y, z) both in it.  A law cell whose domain
     tensors a null hom-object is a pair of maps out of an initial object,
     so it holds (Kelly 1982, §1.2); the law tables keep only the cells over
-    these pairs and triples.  Over a table base the support is every pair.
+    these pairs and triples.  Over a table base the support is every pair;
+    ``succ[x]`` lists the y with (x, y) in the support.
 
     Equality and hash are structural (the name is ignored, and the support
     is derived); the hash is computed once here because presheaf keys hash
@@ -52,7 +56,7 @@ class MCat:
         xs = range(len(self.objects))
         self.support = tuple((x, y) for x in xs for y in xs
                              if not base.is_null(self._hom[(x, y)]))
-        succ = [[] for _ in xs]
+        succ = self.succ = [[] for _ in xs]
         for x, y in self.support:
             succ[x].append(y)
         self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
@@ -92,9 +96,75 @@ class MCat:
         return f"MCat({self.name!r}, {self.n_objects} objects over {self.base!r})"
 
 
+def mcat_slots(n):
+    """The structure-map slots of an n-object enriched category, in check
+    order: the unit x per object, then the composition (x, y, z) per triple."""
+    xs = range(n)
+    return [*xs, *itertools.product(xs, repeat=3)]
+
+
+def slot_type(base, hom, slot):
+    """(dom, cod) of the structure map in ``slot``, read from the hom table:
+    the unit x is 1 -> hom(x, x), the composition (x, y, z) is
+    hom(y, z) ⊗ hom(x, y) -> hom(x, z)."""
+    if isinstance(slot, int):
+        return base.unit, hom[(slot, slot)]
+    x, y, z = slot
+    return base.tensor_ob(hom[(y, z)], hom[(x, y)]), hom[(x, z)]
+
+
+def slot_error(objects, slot, missing=False):
+    """The error naming ``slot`` by its objects: a ``MissingComposite`` for
+    a missing structure map, else the ``TypeMismatch`` for one whose dom or
+    cod is not its ``slot_type``."""
+    unit = isinstance(slot, int)
+    names = {k: objects[o] for k, o in zip("xyz", (slot,) if unit else slot)}
+    shown = ", ".join(map(repr, names.values()))
+    if unit:
+        text = (f"unit for {shown} missing" if missing
+                else f"unit of {shown} is not a morphism 1 -> hom(x, x)")
+    else:
+        text = f"comp({shown}) " + ("missing" if missing else "has wrong dom/cod")
+    return (MissingComposite if missing else TypeMismatch)(text, witness=names)
+
+
+def mcat_laws(a: MCat):
+    """The unit laws and associativity (Kelly 1982, §1.2) as two law tables
+    (unit, assoc) over the slots of an assignment {x: unit(x),
+    (x, y, z): comp(x, y, z)}: per (x, y) the left unit law, then the right
+    one, with cells (x, y, side); per (w, x, y, z) associativity.  Both are
+    empty over a thin base, where the two sides of each law share a hom-set
+    once the slots are typed, and keep only the cells whose hom factors are
+    in ``a.support``."""
+    base = a.base
+    if base.thin:
+        return [], []
+    ids = {xy: base.id_of(a.hom(*xy)) for xy in a.support}
+
+    def left_unit(m, cell):
+        x, y, _ = cell
+        return base.compose(m[(x, y, y)], base.tensor_mor(m[y], ids[(x, y)])) == ids[(x, y)]
+
+    def right_unit(m, cell):
+        x, y, _ = cell
+        return base.compose(m[(x, x, y)], base.tensor_mor(ids[(x, y)], m[x])) == ids[(x, y)]
+
+    def assoc(m, cell):
+        w, x, y, z = cell
+        return (base.compose(m[(w, x, z)], base.tensor_mor(m[(x, y, z)], ids[(w, x)]))
+                == base.compose(m[(w, y, z)], base.tensor_mor(ids[(y, z)], m[(w, x, y)])))
+
+    return ([law for x, y in a.support
+             for law in (((y, (x, y, y)), left_unit, (x, y, "left")),
+                         ((x, (x, x, y)), right_unit, (x, y, "right")))],
+            [(((w, x, z), (x, y, z), (w, y, z), (w, x, y)), assoc, (w, x, y, z))
+             for w, x, y in a.support_triples for z in a.succ[y]])
+
+
 def validate_mcat(base, objects, hom, unit, comp, name="",
                   caps: Caps = DEFAULT_CAPS) -> MCat:
-    """Check both enriched axioms exhaustively.
+    """Type every slot of ``mcat_slots``, then scan the unit laws and
+    associativity of ``mcat_laws``, each in table order.
 
     hom:  {(x, y): base object} on object indices 0..n-1.
     unit: {x: base morphism 1 -> hom(x, x)}.
@@ -104,74 +174,31 @@ def validate_mcat(base, objects, hom, unit, comp, name="",
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
         raise DanglingReference("duplicate object name")
-    n = len(objects)
     hom = dict(hom)
-    unit = dict(unit)
-    comp = dict(comp)
+    for x, y in itertools.product(range(len(objects)), repeat=2):
+        if (x, y) not in hom:
+            raise MissingComposite(f"hom({objects[x]!r}, {objects[y]!r}) missing",
+                                   witness={"x": objects[x], "y": objects[y]})
+    a = MCat(base, objects, hom, unit, comp, name=name)
+    maps = {**a._unit, **a._comp}
+    for slot in mcat_slots(len(objects)):
+        if slot not in maps:
+            raise slot_error(objects, slot, missing=True)
+        dom, cod = slot_type(base, hom, slot)
+        if base.dom(maps[slot]) != dom or base.cod(maps[slot]) != cod:
+            raise slot_error(objects, slot)
 
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in hom:
-                raise MissingComposite(f"hom({objects[x]!r}, {objects[y]!r}) missing",
-                                       witness={"x": objects[x], "y": objects[y]})
-    for x in range(n):
-        if x not in unit:
-            raise MissingComposite(f"unit for {objects[x]!r} missing",
-                                   witness={"x": objects[x]})
-        u = unit[x]
-        if base.dom(u) != base.unit or base.cod(u) != hom[(x, x)]:
-            raise TypeMismatch(
-                f"unit of {objects[x]!r} is not a morphism 1 -> hom(x, x)",
-                witness={"x": objects[x]})
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if (x, y, z) not in comp:
-                    raise MissingComposite(
-                        f"comp({objects[x]!r}, {objects[y]!r}, {objects[z]!r}) missing",
-                        witness={"x": objects[x], "y": objects[y], "z": objects[z]})
-                c = comp[(x, y, z)]
-                want_dom = base.tensor_ob(hom[(y, z)], hom[(x, y)])
-                if base.dom(c) != want_dom or base.cod(c) != hom[(x, z)]:
-                    raise TypeMismatch(
-                        f"comp({objects[x]!r}, {objects[y]!r}, {objects[z]!r}) "
-                        "has wrong dom/cod",
-                        witness={"x": objects[x], "y": objects[y], "z": objects[z]})
-
-    # unit laws: comp ∘ (unit(y) ⊗ id) = id = comp ∘ (id ⊗ unit(x))
-    for x in range(n):
-        for y in range(n):
-            h = hom[(x, y)]
-            left = base.compose(comp[(x, y, y)], base.tensor_mor(unit[y], base.id_of(h)))
-            if left != base.id_of(h):
-                raise EnrichedUnitViolation(
-                    f"left unit law fails at ({objects[x]!r}, {objects[y]!r})",
-                    witness={"x": objects[x], "y": objects[y], "side": "left"})
-            right = base.compose(comp[(x, x, y)], base.tensor_mor(base.id_of(h), unit[x]))
-            if right != base.id_of(h):
-                raise EnrichedUnitViolation(
-                    f"right unit law fails at ({objects[x]!r}, {objects[y]!r})",
-                    witness={"x": objects[x], "y": objects[y], "side": "right"})
-
-    # associativity over every quadruple (w, x, y, z)
-    for w in range(n):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    id_wx = base.id_of(hom[(w, x)])
-                    id_yz = base.id_of(hom[(y, z)])
-                    lhs = base.compose(comp[(w, x, z)],
-                                       base.tensor_mor(comp[(x, y, z)], id_wx))
-                    rhs = base.compose(comp[(w, y, z)],
-                                       base.tensor_mor(id_yz, comp[(w, x, y)]))
-                    if lhs != rhs:
-                        raise EnrichedAssociativityViolation(
-                            f"associativity fails at ({objects[w]!r}, {objects[x]!r}, "
-                            f"{objects[y]!r}, {objects[z]!r})",
-                            witness={"w": objects[w], "x": objects[x],
-                                     "y": objects[y], "z": objects[z]})
-
-    return MCat(base, objects, hom, unit, comp, name=name)
+    unit_laws, assoc_laws = mcat_laws(a)
+    for x, y, side in failures(unit_laws, maps):
+        raise EnrichedUnitViolation(
+            f"{side} unit law fails at ({objects[x]!r}, {objects[y]!r})",
+            witness={"x": objects[x], "y": objects[y], "side": side})
+    for cell in failures(assoc_laws, maps):
+        names = [objects[o] for o in cell]
+        raise EnrichedAssociativityViolation(
+            f"associativity fails at ({', '.join(map(repr, names))})",
+            witness=dict(zip("wxyz", names)))
+    return a
 
 
 def opposite_mcat(a: MCat) -> MCat:
@@ -192,8 +219,6 @@ def mcat_from_fincat(c: FinCat, caps: Caps = DEFAULT_CAPS) -> MCat:
     hom(x, y) is the cardinality of Hom_C(x, y); elements are numbered in
     declaration order of C's morphisms, so composition tables are canonical.
     """
-    from . import finset
-
     base = finset_product_monoidal(caps)
     n = c.n_objects
     hom = {}
@@ -204,17 +229,10 @@ def mcat_from_fincat(c: FinCat, caps: Caps = DEFAULT_CAPS) -> MCat:
             hom[(x, y)] = SkSet(len(ms))
             for k, m in enumerate(ms):
                 pos[m] = k
-    unit = {x: SkMap(SkSet(1), hom[(x, x)], (pos[c.id_of(x)],)) for x in range(n)}
-    comp = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                hyz, hxy = hom[(y, z)], hom[(x, y)]
-                table = []
-                for g in c.hom(y, z):
-                    for f in c.hom(x, y):
-                        table.append(pos[c.compose(g, f)])
-                comp[(x, y, z)] = SkMap(finset.product(hyz, hxy, caps),
-                                        hom[(x, z)], tuple(table))
+    unit = {x: SkMap(*slot_type(base, hom, x), (pos[c.id_of(x)],)) for x in range(n)}
+    comp = {(x, y, z): SkMap(*slot_type(base, hom, (x, y, z)),
+                             tuple(pos[c.compose(g, f)]
+                                   for g in c.hom(y, z) for f in c.hom(x, y)))
+            for x, y, z in itertools.product(range(n), repeat=3)}
     return validate_mcat(base, c.objects, hom, unit, comp,
                          name=c.name + "-enr" if c.name else "")

@@ -515,3 +515,90 @@ def test_yoneda_command_enumerates_each_presheaf_category_once(spec, monkeypatch
     report = run("yoneda", parsed)
     assert report.failure_count == 0
     assert calls == list(parsed.enriched)
+
+
+@pytest.mark.parametrize("spec, section, name, key, row, witness", [
+    ("boolean_chain", "monoidal", "bool_and", "tensor_ob", ["0", "0", "1"],
+     {"a": "0", "b": "0"}),
+    ("boolean_chain", "monoidal", "bool_and", "tensor_mor", ["id_0", "id_0", "id_1"],
+     {"f": "id_0", "g": "id_0"}),
+    ("boolean_chain", "enriched", "chain2", "hom", ["a", "b", "0"], {"x": "a", "y": "b"}),
+    ("boolean_chain", "enriched", "chain2", "unit", ["a", "id_0"], {"x": "a"}),
+    ("boolean_chain", "enriched", "chain2", "comp", ["a", "b", "a", "id_0"],
+     {"x": "a", "y": "b", "z": "a"}),
+    (None, "enriched", "E", "comp", ["x", "x", "y", []], {"x": "x", "y": "x", "z": "y"}),
+    ("module", "module", "self2", "act_ob", ["1", "1", "0"], {"m": "1", "b": "1"}),
+    ("module", "module", "self2", "act_mor", ["id_1", "le01", "id_0"],
+     {"u": "id_1", "h": "le01"}),
+    ("module", "presheaf", "Yb", "action", ["b", "a", "id_0"], {"x": "b", "y": "a"}),
+    ("wcolim_demo", "mfunctor", "Fswap", "phi", ["p", "q", [1, 0, 0, 1]],
+     {"x": "p", "y": "q"}),
+    ("wcolim_demo", "weight", "Wterm", "action", ["q", "q", [0, 0]], {"x": "q", "y": "q"}),
+])
+def test_conflicting_rows_fail_their_record(tmp_path, spec, section, name, key, row,
+                                            witness):
+    # two rows giving one cell different values fail like conflicting compose
+    # entries, whichever comes last; a repeated identical row is accepted.  A
+    # declaration built on the failing one fails with the same witness.
+    sections = {"monoidal": "monoidal", "enriched": "enriched", "module": "modules",
+                "presheaf": "presheaves", "mfunctor": "mfunctors", "weight": "weights"}
+    raw = (module_and_presheaf_spec() if spec == "module"
+           else json.loads((SPECS / f"{spec}.json").read_text()) if spec
+           else _finset_enriched_spec())
+    decl = raw[sections[section]][name]
+    f = tmp_path / "spec.json"
+    decl[key] = decl[key] + decl[key][:1]
+    f.write_text(json.dumps(raw))
+    assert run("validate", parse_spec(f)).failure_count == 0
+    # first, so that a reader where the last row wins keeps the valid value
+    decl[key] = [row] + decl[key]
+    f.write_text(json.dumps(raw))
+    failed = [r for r in run("validate", parse_spec(f)).records if r.verdict != "pass"]
+    cell = ", ".join(map(repr, witness.values()))
+    assert failed[0].check == f"validate.{section}"
+    assert {(r.verdict, tuple(r.witnesses)) for r in failed} == {
+        ("fail", (f"IllTypedComposite: conflicting {key} entries for ({cell})",))}
+    assert failed[0].details == {"witness": witness}
+    assert main(["--spec", str(f), "--check", "validate"]) == 1
+
+
+def test_fuzz_under_a_small_cap_is_a_resource_error(capsys):
+    # every presheaf enumeration of the sampler exceeds a cap of 0
+    assert main(["--check", "fuzz", "--max-size", "0"]) == 3
+    out = capsys.readouterr().out
+    assert "RESOURCE CAP: SizeBound: presheaf value-map search space" in out
+
+
+def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes('{"enrichkit-spec": 1, "categories": {"\xe9": {}}}'.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_spec(f)
+    assert main(["--spec", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["--spec", str(SPECS / "boolean_chain.json"), "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unit, witnesses", [
+    ([], []),
+    ([0], ["TypeMismatch: unit of 'x' is not a morphism 1 -> hom(x, x)"]),
+])
+def test_unit_over_the_coproduct_base_is_typed_from_its_unit(tmp_path, unit, witnesses):
+    # under the coproduct the unit object is the empty set, so a unit is the
+    # empty map 0 -> hom(x, x); one object with hom(x, x) = 1 is then lawful
+    raw = {"enrichkit-spec": 1,
+           "monoidal": {"FS": {"carrier": "finset-coproduct"}},
+           "enriched": {"E": {"base": "FS", "objects": ["x"], "hom": [["x", "x", 1]],
+                              "unit": [["x", unit]],
+                              "comp": [["x", "x", "x", [0, 0]]]}}}
+    f = tmp_path / "coproduct.json"
+    f.write_text(json.dumps(raw))
+    record = run("validate", parse_spec(f)).records[-1]
+    assert (record.check, record.witnesses) == ("validate.enriched", witnesses)
