@@ -1,19 +1,32 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A ``FinCat`` is the trusted kernel of the whole engine: it is fully
-validated at construction (totality, typing, unit laws, associativity) and
-downstream modules never re-check.  Associativity is decided per category,
-never per cell: a thin category (every hom-set has at most one element)
-satisfies it by typing alone, and otherwise it is checked with the middle
-morphism ranging over a generating set only (Light's test, Clifford &
-Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2).  Object and
-morphism identifiers are opaque strings at the boundary, interned to dense
-integer indices internally; every enumeration follows declaration order, so
-reports are byte-identical across runs.
+validated at construction (typing, totality, unit laws, associativity) and
+downstream modules never re-check.  Validation has two parts that run as
+one check sequence:
+
+- the name boundary (``validate_fincat``) takes spec and table input.  It
+  interns object and morphism names to dense integer indices and rejects
+  duplicates, dangling references, non-composable and conflicting entries;
+- the index kernel (``validate_rows``) checks typing, totality, the
+  identities, the unit laws and associativity on indices.  Derived
+  categories (``family_category``) are built on indices and enter here
+  directly, without a round trip through names.
+
+Composition is stored as one dense row per morphism g: its composites g∘f
+with the morphisms f into dom g, in declaration order.  Associativity is
+decided per category, never per cell: a thin category (every hom-set has
+at most one element) satisfies it by typing alone, and otherwise it is
+checked with the middle morphism ranging over a generating set only
+(Light's test, Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+1961, §1.2).  Names are for reports; a derived category numbers its
+morphisms by a prefix and makes each name on demand.  Every enumeration
+follows declaration order, so reports are byte-identical across runs.
 """
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import getitem
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -29,33 +42,53 @@ from .errors import (
 from .search import backtrack, bounded_plans, failures, guard_space, search_space
 
 
+class Numbered:
+    """The names prefix0, prefix1, ... of n items, each made when read."""
+
+    __slots__ = ("prefix", "n")
+
+    def __init__(self, prefix, n):
+        self.prefix = prefix
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return f"{self.prefix}{i}"
+
+
 class FinCat:
-    """A validated finite category.  Construct via ``validate_fincat``.
+    """A validated finite category.  Construct via ``validate_fincat`` or
+    ``validate_rows``.
 
     Objects and morphisms are addressed by dense integer indices; names are
-    kept for reports.  ``compose(g, f)`` means "g after f".  ``thin`` is
-    true when every hom-set has at most one element, so any two parallel
-    morphisms are equal.
+    kept for reports.  ``compose(g, f)`` means "g after f" and reads
+    ``rows[g][pos[f]]``, where pos[f] is the place of f among the morphisms
+    into its codomain.  ``thin`` is true when every hom-set has at most one
+    element, so any two parallel morphisms are equal.
     """
 
-    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, identity, compose,
-                 generators=None):
+    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, rows):
         self.name = name
         self.objects = tuple(objects)
-        self.mor_names = tuple(mor_names)
+        self.mor_names = mor_names
         self.mor_dom = tuple(mor_dom)
         self.mor_cod = tuple(mor_cod)
-        self.identity = tuple(identity)
-        self._compose = dict(compose)
+        self.identity = None     # set by validate_rows
+        self._rows = rows
         self._obj_index = {n: i for i, n in enumerate(self.objects)}
-        self._mor_index = {n: i for i, n in enumerate(self.mor_names)}
+        self._mor_index = None   # name -> index, built on first lookup
+        self._into, self._pos = _group(len(self.objects), self.mor_cod)
+        self._by_dom = _group(len(self.objects), self.mor_dom)[0]
         hom = {}
-        for m in range(len(self.mor_names)):
-            hom.setdefault((self.mor_dom[m], self.mor_cod[m]), []).append(m)
+        for m, key in enumerate(zip(self.mor_dom, self.mor_cod)):
+            hom.setdefault(key, []).append(m)
         self._hom = {k: tuple(v) for k, v in hom.items()}
-        self.thin = len(self._hom) == len(self.mor_names)
-        self._by_dom = _group_by_dom(len(self.objects), self.mor_dom)
-        self._generators = generators
+        self.thin = len(self._hom) == len(self.mor_dom)
+        self._generators = None
         self._hash = None
 
     @property
@@ -64,7 +97,7 @@ class FinCat:
 
     @property
     def n_morphisms(self):
-        return len(self.mor_names)
+        return len(self.mor_dom)
 
     def obj(self, name):
         if name not in self._obj_index:
@@ -72,6 +105,8 @@ class FinCat:
         return self._obj_index[name]
 
     def mor(self, name):
+        if self._mor_index is None:
+            self._mor_index = {n: i for i, n in enumerate(self.mor_names)}
         if name not in self._mor_index:
             raise DanglingReference(f"unknown morphism {name!r} in {self.name!r}")
         return self._mor_index[name]
@@ -97,11 +132,12 @@ class FinCat:
 
     def compose(self, g, f):
         """g after f; the pair must be composable."""
-        return self._compose[(g, f)]
+        return self._rows[g][self._pos[f]]
 
     def compose_all(self, gs, fs):
         """[g∘f for g, f in zip(gs, fs)]; every pair must be composable."""
-        return list(map(self._compose.__getitem__, zip(gs, fs)))
+        return list(map(getitem, map(self._rows.__getitem__, gs),
+                        map(self._pos.__getitem__, fs)))
 
     def hom(self, x, y):
         return self._hom.get((x, y), ())
@@ -118,8 +154,7 @@ class FinCat:
         of earlier members of S and identities.  Every morphism is such a
         composite of S and the identities."""
         if self._generators is None:
-            self._generators = _generators(self.n_objects, self.mor_dom, self.mor_cod,
-                                           self.identity, self._compose)
+            self._generators = _generators(self)
         return self._generators
 
     def composable_pairs(self):
@@ -131,19 +166,20 @@ class FinCat:
     def __eq__(self, other):
         if not isinstance(other, FinCat):
             return NotImplemented
-        return (self.objects == other.objects
-                and self.mor_names == other.mor_names
-                and self.mor_dom == other.mor_dom
-                and self.mor_cod == other.mor_cod
-                and self.identity == other.identity
-                and self._compose == other._compose)
+        return self is other or (
+            self.objects == other.objects
+            and tuple(self.mor_names) == tuple(other.mor_names)
+            and self.mor_dom == other.mor_dom
+            and self.mor_cod == other.mor_cod
+            and self.identity == other.identity
+            and self._rows == other._rows)
 
     def __hash__(self):
         # Computed on first use: presheaf categories are large and rarely hashed.
         if self._hash is None:
-            self._hash = hash((self.objects, self.mor_names, self.mor_dom,
+            self._hash = hash((self.objects, tuple(self.mor_names), self.mor_dom,
                                self.mor_cod, self.identity,
-                               tuple(sorted(self._compose.items()))))
+                               tuple(map(tuple, self._rows))))
         return self._hash
 
     def __repr__(self):
@@ -167,7 +203,8 @@ def bind_carrier(obj, carrier):
 
 def validate_fincat(objects, morphisms, compose, identity=None, name="",
                     caps: Caps = DEFAULT_CAPS) -> FinCat:
-    """Validate raw tables and intern them into a FinCat.
+    """The name boundary: validate raw tables, intern their names and hand
+    the index tables to the kernel (``validate_rows``).
 
     objects:   list of object names.
     morphisms: list of (name, dom, cod) triples.
@@ -176,14 +213,11 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     identity:  optional {object: morphism} map; inferred from the compose
                table when omitted.
 
-    Checks run in order: names and typing, totality, identities, the unit
-    laws, associativity.  Associativity over a thin input holds by typing,
-    as both sides of each triple lie in one hom-set.  Otherwise it is
-    checked for the middle morphisms g in the generating set S only: the
-    middles that pass are closed under the table's composition, identities
-    pass by the unit laws, and S generates every morphism.  On a mismatch
-    the full scan over every composable triple runs, so the witness is the
-    first failing triple in (f, g, h) scan order.
+    This part checks the size caps, duplicate and dangling names, and
+    compose entries that are not composable pairs or conflict with an
+    earlier entry, in table order; the kernel checks the rest.  So on a
+    table with several defects a name-level one is reported before any
+    ill-typed or missing composite or misplaced identity.
     """
     objects = list(objects)
     if len(objects) > caps.max_objects:
@@ -209,7 +243,8 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     if len(mor_names) > caps.max_morphisms:
         raise SizeBound(f"{len(mor_names)} morphisms exceeds cap {caps.max_morphisms}")
 
-    comp = {}
+    into, pos = _group(len(objects), mor_cod)
+    rows = [[None] * len(into[d]) for d in mor_dom]
     for g, f, gf in compose:
         for n in (g, f, gf):
             if n not in mor_index:
@@ -219,25 +254,14 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
             raise IllTypedComposite(
                 f"compose entry ({g!r}, {f!r}) is not a composable pair",
                 witness={"g": g, "f": f})
-        if (gi, fi) in comp and comp[(gi, fi)] != ri:
+        row, p = rows[gi], pos[fi]
+        if row[p] is not None and row[p] != ri:
             raise IllTypedComposite(
                 f"conflicting compose entries for ({g!r}, {f!r})",
                 witness={"g": g, "f": f})
-        if mor_dom[ri] != mor_dom[fi] or mor_cod[ri] != mor_cod[gi]:
-            raise IllTypedComposite(
-                f"compose({g!r}, {f!r}) = {gf!r} has wrong dom/cod",
-                witness={"g": g, "f": f, "value": gf})
-        comp[(gi, fi)] = ri
+        row[p] = ri
 
-    # Totality before anything that reads the table.
-    by_dom = _group_by_dom(len(objects), mor_dom)
-    for f in range(len(mor_names)):
-        for g in by_dom[mor_cod[f]]:
-            if (g, f) not in comp:
-                raise MissingComposite(
-                    f"no composite for ({mor_names[g]!r}, {mor_names[f]!r})",
-                    witness={"g": mor_names[g], "f": mor_names[f]})
-
+    ident = None
     if identity is not None:
         ident = [None] * len(objects)
         for oname, mname in dict(identity).items():
@@ -245,73 +269,116 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                 raise DanglingReference(f"identity table: unknown object {oname!r}")
             if mname not in mor_index:
                 raise DanglingReference(f"identity table: unknown morphism {mname!r}")
-            m = mor_index[mname]
-            x = obj_index[oname]
-            if mor_dom[m] != x or mor_cod[m] != x:
-                raise UnitViolation(
-                    f"declared identity {mname!r} is not an endomorphism of {oname!r}",
-                    witness={"object": oname, "morphism": mname})
-            ident[x] = m
-        missing = [objects[x] for x in range(len(objects)) if ident[x] is None]
-        if missing:
-            raise UnitViolation(f"no identity declared for {missing[0]!r}",
-                                witness={"object": missing[0]})
-    else:
-        ident = _infer_identities(objects, mor_names, mor_dom, mor_cod, comp)
+            ident[obj_index[oname]] = mor_index[mname]
+    return validate_rows(name, objects, tuple(mor_names), mor_dom, mor_cod, rows, ident)
+
+
+def validate_rows(name, objects, mor_names, mor_dom, mor_cod, rows,
+                  identity=None) -> FinCat:
+    """The index kernel: check composition rows and return the FinCat.
+
+    objects:   object names, one per object index.
+    mor_names: morphism names, one per morphism index (a tuple, or a
+               ``Numbered`` range made on demand).
+    mor_dom, mor_cod: the object index of each morphism's endpoints.
+    rows:      per morphism g, the list of composites g∘f over the
+               morphisms f into dom g, in index order; None where a
+               composite is missing.  Kept as the category's storage.
+    identity:  the identity per object (None where none is declared), or
+               None to infer each from the rows.
+
+    Checks run in order: typing, totality, identities (object order), the
+    unit laws (morphism order), associativity; typing and totality name
+    their first failing cell in (f, g) scan order of the composable pairs.
+    Associativity over a thin input holds by typing, as both sides of each
+    triple lie in one hom-set.  Otherwise it is checked for the middle
+    morphisms g in the generating set S only: the middles that pass are
+    closed under composition, identities pass by the unit laws, and S
+    generates every morphism.  On a mismatch every middle is checked, and
+    the witness is the first failing triple in (f, g, h) scan order.
+    """
+    cat = FinCat(name, objects, mor_names, mor_dom, mor_cod, rows)
+    name_of, mor_dom, mor_cod = cat.mor_name, cat.mor_dom, cat.mor_cod
+    into, pos = cat._into, cat._pos
+
+    # Typing and totality: each row is compared at once with the endpoints
+    # its composites must have, coded as dom·n + cod per morphism, and only
+    # a bad row is rescanned cell by cell.
+    n = len(objects)
+    code = [d * n + c for d, c in zip(mor_dom, mor_cod)]
+    want = {(d, c): [mor_dom[f] * n + c for f in into[d]] for d, c in cat._hom}
+    bad = [g for g, row in enumerate(rows) if None in row
+           or list(map(code.__getitem__, row)) != want[mor_dom[g], mor_cod[g]]]
+    if bad:
+        bad = set(bad)
+        pairs = [(g, f) for g, f in cat.composable_pairs() if g in bad]
+        for g, f in pairs:
+            r = rows[g][pos[f]]
+            if r is not None and (mor_dom[r] != mor_dom[f] or mor_cod[r] != mor_cod[g]):
+                g, f, r = name_of(g), name_of(f), name_of(r)
+                raise IllTypedComposite(f"compose({g!r}, {f!r}) = {r!r} has wrong dom/cod",
+                                        witness={"g": g, "f": f, "value": r})
+        g, f = next((g, f) for g, f in pairs if rows[g][pos[f]] is None)
+        raise MissingComposite(f"no composite for ({name_of(g)!r}, {name_of(f)!r})",
+                               witness={"g": name_of(g), "f": name_of(f)})
+
+    if identity is None:
+        identity = _infer_identities(cat, objects)
+    for x, m in enumerate(identity):
+        if m is not None and (mor_dom[m] != x or mor_cod[m] != x):
+            raise UnitViolation(
+                f"declared identity {name_of(m)!r} is not an endomorphism of "
+                f"{objects[x]!r}", witness={"object": objects[x], "morphism": name_of(m)})
+    if None in identity:
+        missing = objects[identity.index(None)]
+        raise UnitViolation(f"no identity declared for {missing!r}",
+                            witness={"object": missing})
+    cat.identity = ident = tuple(identity)
 
     # Unit laws.
-    for f in range(len(mor_names)):
-        if comp[(ident[mor_cod[f]], f)] != f:
+    for f in range(len(mor_dom)):
+        if rows[ident[mor_cod[f]]][pos[f]] != f:
             raise UnitViolation(
-                f"id∘{mor_names[f]!r} differs from {mor_names[f]!r}",
-                witness={"morphism": mor_names[f], "side": "left"})
-        if comp[(f, ident[mor_dom[f]])] != f:
+                f"id∘{name_of(f)!r} differs from {name_of(f)!r}",
+                witness={"morphism": name_of(f), "side": "left"})
+        if rows[f][pos[ident[mor_dom[f]]]] != f:
             raise UnitViolation(
-                f"{mor_names[f]!r}∘id differs from {mor_names[f]!r}",
-                witness={"morphism": mor_names[f], "side": "right"})
+                f"{name_of(f)!r}∘id differs from {name_of(f)!r}",
+                witness={"morphism": name_of(f), "side": "right"})
 
-    # Associativity (see the docstring): per composable pair (g, f) the row
-    # h∘(g∘f) over every h out of cod g is compared at once with the row
-    # (h∘g)∘f, for the middles g in S; a failing table is rescanned over
-    # every middle to name the first failing triple.
-    thin = len(set(zip(mor_dom, mor_cod))) == len(mor_names)
-    gens = None
-    if not thin:
-        gens = _generators(len(objects), mor_dom, mor_cod, ident, comp)
-        post = [list(map(comp.__getitem__, zip(by_dom[mor_cod[m]], repeat(m))))
-                for m in range(len(mor_names))]
-        if _first_assoc_row(comp, mor_cod, post, _group_by_dom(
-                len(objects), mor_dom, gens)) is not None:
-            g, f = _first_assoc_row(comp, mor_cod, post, by_dom)
-            h = next(h for h in by_dom[mor_cod[g]]
-                     if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)])
-            raise AssociativityViolation(
-                f"(h∘g)∘f ≠ h∘(g∘f) for h={mor_names[h]!r}, "
-                f"g={mor_names[g]!r}, f={mor_names[f]!r}",
-                witness={"h": mor_names[h], "g": mor_names[g], "f": mor_names[f]})
-
-    return FinCat(name, objects, mor_names, mor_dom, mor_cod, ident, comp, gens)
+    if not cat.thin and next(_assoc_failures(cat, cat.generators()), None):
+        f, g, h = min(_assoc_failures(cat, range(len(mor_dom))))
+        raise AssociativityViolation(
+            f"(h∘g)∘f ≠ h∘(g∘f) for h={name_of(h)!r}, g={name_of(g)!r}, f={name_of(f)!r}",
+            witness={"h": name_of(h), "g": name_of(g), "f": name_of(f)})
+    return cat
 
 
-def _first_assoc_row(comp, mor_cod, post, middles):
-    """The first composable pair (g, f), in (f, g) scan order and with g in
-    ``middles`` (per object, the middles out of it), whose associativity
-    row differs; None if none.  post[m] is the row h∘m over h out of cod m."""
-    for f, c in enumerate(mor_cod):
-        for g in middles[c]:
-            if post[comp[(g, f)]] != list(map(comp.__getitem__, zip(post[g], repeat(f)))):
-                return g, f
-    return None
+def _assoc_failures(cat, middles):
+    """(f, g, h) per pair of a middle g in ``middles`` and an h out of
+    cod g for which h∘(g∘f) ≠ (h∘g)∘f for some f, with f the first such.
+    Both sides are compared as one row over every f into dom g: the row
+    of h read at the places of the row of g, against the row of h∘g."""
+    rows, pos, into = cat._rows, cat._pos, cat._into
+    for g in middles:
+        at = list(map(pos.__getitem__, rows[g]))
+        for h in cat._by_dom[cat.mor_cod[g]]:
+            row_h = rows[h]
+            lhs, rhs = list(map(row_h.__getitem__, at)), rows[row_h[pos[g]]]
+            if lhs != rhs:
+                k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                yield into[cat.mor_dom[g]][k], g, h
 
 
-def _generators(n_objects, mor_dom, mor_cod, ident, comp):
+def _generators(cat):
     """Greedy generating set in index order (see ``FinCat.generators``).
     The reached set starts at the identities and is closed under s∘x for s
     in S; each (s, x) pair is composed once, so the cost is O(|S|·M)."""
+    rows, pos, mor_dom, mor_cod = cat._rows, cat._pos, cat.mor_dom, cat.mor_cod
     reached = [False] * len(mor_dom)
-    into = [[] for _ in range(n_objects)]   # reached morphisms by codomain
-    out = [[] for _ in range(n_objects)]    # generators by domain
-    for i in ident:
+    into = [[] for _ in range(cat.n_objects)]   # reached morphisms by codomain
+    out = [[] for _ in range(cat.n_objects)]    # generators by domain
+    for i in cat.identity:
         reached[i] = True
         into[mor_cod[i]].append(i)
     gens = []
@@ -323,7 +390,7 @@ def _generators(n_objects, mor_dom, mor_cod, ident, comp):
         work = [(m, x) for x in into[mor_dom[m]]]
         while work:
             s, x = work.pop()
-            y = comp[(s, x)]
+            y = rows[s][pos[x]]
             if not reached[y]:
                 reached[y] = True
                 into[mor_cod[y]].append(y)
@@ -331,76 +398,89 @@ def _generators(n_objects, mor_dom, mor_cod, ident, comp):
     return tuple(gens)
 
 
+class Family(list):
+    """The morphisms (i, j, components) of a family category, in index
+    order; ``keys`` maps each (i, j, *components) to its index."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = {}
+
+    def add(self, i, j, components):
+        self.keys[(i, j, *components)] = len(self)
+        self.append((i, j, components))
+
+
 def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
                     mor_prefix, name, caps: Caps = DEFAULT_CAPS):
-    """(validated FinCat, [(i, j, components)]): morphisms objs[i] -> objs[j]
-    are the tuples of ``cat`` morphisms values(f)[x] -> values(g)[x] passing
-    square_laws(f, g), composed componentwise; each pair's search space is
-    capped (as ``what``) before it is searched.  Objects and morphisms are
-    named by prefix and index, so reports on the result are deterministic.
+    """(validated FinCat, Family): morphisms objs[i] -> objs[j] are the
+    tuples of ``cat`` morphisms values(f)[x] -> values(g)[x] passing
+    square_laws(f, g), composed componentwise.  The object cap is checked
+    before any search, each pair's search space (as ``what``) before it is
+    searched, and the morphism cap at each morphism found.  Objects and
+    morphisms are named by prefix and index, so reports on the result are
+    deterministic.
     """
-    morphisms, into = [], [[] for _ in objs]
+    if len(objs) > caps.max_objects:
+        raise SizeBound(f"{len(objs)} objects exceeds cap {caps.max_objects}")
+    family = Family()
     for i, f in enumerate(objs):
         for j, g in enumerate(objs):
             cands = {x: list(cat.hom(a, b))
                      for x, (a, b) in enumerate(zip(values(f), values(g)))}
-            guard_space(max(search_space(cands), 1), caps, what)
+            space = search_space(cands)
+            guard_space(max(space, 1), caps, what)
+            if not space:
+                continue   # some component has no candidate: no morphism i -> j
             for asg in backtrack(cands, square_laws(f, g)):
-                into[j].append(len(morphisms))
-                morphisms.append((i, j, tuple(asg[x] for x in cands)))
+                if len(family) == caps.max_morphisms:
+                    raise SizeBound(f"{what} count exceeds cap {caps.max_morphisms}")
+                family.add(i, j, tuple(asg[x] for x in cands))
 
-    obj_names = [f"{obj_prefix}{i}" for i in range(len(objs))]
-    mor_names = [f"{mor_prefix}{k}" for k in range(len(morphisms))]
-    lookup = {m: k for k, m in enumerate(morphisms)}
-    identity = {obj_names[i]: mor_names[lookup[(i, i, tuple(map(cat.id_of, values(f))))]]
-                for i, f in enumerate(objs)}
-    # One row of composites g∘f per g, over every f into dom g: the f's are
-    # kept as columns (sources, names, x-th components), so each row takes
-    # one compose_all per component instead of one call per composite.
+    # The row of g: i -> j over the morphisms f into i, in index order.
+    # They are kept as columns per object i: their sources, then per
+    # component x the places of their x-th components in the rows of
+    # ``cat``.  So a row reads one ``cat`` row per component and looks each
+    # composite up by its key (source, j, *components).
+    mor_dom, mor_cod = [i for i, _, _ in family], [j for _, j, _ in family]
     width = len(values(objs[0])) if objs else 0
-    cols = [([morphisms[k][0] for k in ks], [mor_names[k] for k in ks],
-             [[morphisms[k][2][x] for k in ks] for x in range(width)])
-            for ks in into]
-    compose = []
-    for k2, (i2, j2, c2) in enumerate(morphisms):
-        srcs, names, comps = cols[i2]
-        gfs = zip(*map(cat.compose_all, map(repeat, c2), comps)) if width else repeat(())
-        keys = zip(srcs, repeat(j2), gfs)
-        compose.extend(zip(repeat(mor_names[k2]), names,
-                           map(mor_names.__getitem__, map(lookup.__getitem__, keys))))
-    mor_decls = [(mor_names[k], obj_names[i], obj_names[j])
-                 for k, (i, j, _) in enumerate(morphisms)]
-    return validate_fincat(obj_names, mor_decls, compose, identity,
-                           name=name, caps=caps), morphisms
+    cols = [([family[k][0] for k in ks],
+             *([cat._pos[family[k][2][x]] for k in ks] for x in range(width)))
+            for ks in _group(len(objs), mor_cod)[0]]
+    rows = []
+    for i, j, comps in family:
+        srcs, *places = cols[i]
+        gfs = [map(cat._rows[c].__getitem__, at) for c, at in zip(comps, places)]
+        rows.append(list(map(family.keys.get, zip(srcs, repeat(j), *gfs))))
+    identity = [family.keys.get((i, i, *map(cat.id_of, values(f))))
+                for i, f in enumerate(objs)]
+    return validate_rows(name, [f"{obj_prefix}{i}" for i in range(len(objs))],
+                         Numbered(mor_prefix, len(family)), mor_dom, mor_cod,
+                         rows, identity), family
 
 
-def _group_by_dom(n_objects, mor_dom, mors=None):
-    """Per object, the morphisms out of it (of ``mors`` when given) in
-    declaration order."""
-    by_dom = [[] for _ in range(n_objects)]
-    for m in range(len(mor_dom)) if mors is None else mors:
-        by_dom[mor_dom[m]].append(m)
-    return tuple(tuple(ms) for ms in by_dom)
+def _group(n_objects, ends):
+    """(groups, places): per object the morphisms whose end (dom or cod, as
+    ``ends`` lists them) it is, in index order, and per morphism its place
+    in its group."""
+    groups, places = [[] for _ in range(n_objects)], []
+    for m, x in enumerate(ends):
+        places.append(len(groups[x]))
+        groups[x].append(m)
+    return groups, places
 
 
-def _infer_identities(objects, mor_names, mor_dom, mor_cod, comp):
-    """Find, per object, the unique endomorphism acting neutrally."""
+def _infer_identities(cat, objects):
+    """Per object, the first endomorphism acting neutrally."""
+    rows, pos, into = cat._rows, cat._pos, cat._into
     ident = []
-    for x in range(len(objects)):
-        found = []
-        for e in range(len(mor_names)):
-            if mor_dom[e] != x or mor_cod[e] != x:
-                continue
-            neutral = all(comp[(e, f)] == f
-                          for f in range(len(mor_names)) if mor_cod[f] == x)
-            neutral = neutral and all(comp[(g, e)] == g
-                                      for g in range(len(mor_names)) if mor_dom[g] == x)
-            if neutral:
-                found.append(e)
-        if not found:
-            raise UnitViolation(f"no identity found for object {objects[x]!r}",
-                                witness={"object": objects[x]})
-        ident.append(found[0])
+    for x, oname in enumerate(objects):
+        e = next((e for e in cat.hom(x, x) if rows[e] == into[x]
+                  and all(rows[g][pos[e]] == g for g in cat._by_dom[x])), None)
+        if e is None:
+            raise UnitViolation(f"no identity found for object {oname!r}",
+                                witness={"object": oname})
+        ident.append(e)
     return ident
 
 
@@ -430,22 +510,34 @@ def fin_functor(source: FinCat, target: FinCat, ob_map, mor_map) -> FinFunctor:
             raise FunctorLawViolation(
                 f"identity of {source.obj_name(x)!r} not preserved",
                 witness={"object": source.obj_name(x)})
-    for g, f in failures(functor_laws(source, target), mor_map):
-        g, f = source.mor_name(g), source.mor_name(f)
-        raise FunctorLawViolation(f"composition not preserved on ({g!r}, {f!r})",
-                                  witness={"g": g, "f": f})
+    if next(failures(functor_laws(source, target), mor_map), None) is not None:
+        for g, f in failures(_preservation(source, target, source.composable_pairs()),
+                             mor_map):
+            g, f = source.mor_name(g), source.mor_name(f)
+            raise FunctorLawViolation(f"composition not preserved on ({g!r}, {f!r})",
+                                      witness={"g": g, "f": f})
     return FinFunctor(source, target, ob_map, mor_map)
 
 
 def functor_laws(source: FinCat, target: FinCat):
-    """Preservation of composition per composable pair (g, f), as a law
-    table over the morphism slots of a functor's mor_map."""
+    """Preservation of composition per composable pair (g, f) with g a
+    generator of the source, as a law table over the morphism slots of a
+    functor's mor_map.  For a map that preserves identities these cells
+    imply all others: writing g = s∘g' with s a generator,
+    F(g∘f) = F(s)∘F(g'∘f) = F(s)∘F(g')∘F(f) = F(g)∘F(f), by induction on
+    the length of g.  ``fin_functor`` rescans every pair on a failure."""
+    gens = set(source.generators())
+    return _preservation(source, target,
+                         (p for p in source.composable_pairs() if p[0] in gens))
+
+
+def _preservation(source, target, pairs):
+    """The preservation law per (g, f) of ``pairs``, as a law table."""
     def law(F, cell):
         g, f = cell
         return F[source.compose(g, f)] == target.compose(F[g], F[f])
 
-    return [((g, f, source.compose(g, f)), law, (g, f))
-            for g, f in source.composable_pairs()]
+    return [((g, f, source.compose(g, f)), law, (g, f)) for g, f in pairs]
 
 
 def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:

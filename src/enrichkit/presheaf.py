@@ -189,16 +189,18 @@ def yoneda_presheaf(source: MCat, z) -> Presheaf:
 class PresheafCategory:
     """Complete enumeration of P_M(A): presheaves in lexicographic order of
     (value assignment, action choices), all morphisms, a validated FinCat
-    presentation, and the left-tensoring by the base."""
+    presentation, and the left-tensoring by the base.  ``family`` is the
+    ``fincat.Family`` of (i, j, components) per morphism index, which also
+    looks a morphism up by its components."""
 
-    def __init__(self, source, presheaves, morphisms, fincat):
+    def __init__(self, source, presheaves, family, fincat):
         self.source = source
         self.presheaves = tuple(presheaves)
-        self.morphisms = tuple(morphisms)
+        self.morphisms = tuple(PresheafMor(self.presheaves[i], self.presheaves[j], comps)
+                               for i, j, comps in family)
         self.fincat = fincat
+        self._family = family
         self._index = {p: i for i, p in enumerate(self.presheaves)}
-        self._mor_index = {(fincat.dom(k), fincat.cod(k), mor.components): k
-                           for k, mor in enumerate(self.morphisms)}
         self._module = None
 
     def index_of(self, p: Presheaf):
@@ -207,30 +209,31 @@ class PresheafCategory:
         return self._index[p]
 
     def mor_index(self, i, j, components):
-        key = (i, j, tuple(components))
-        if key not in self._mor_index:
+        k = self._family.keys.get((i, j, *components))
+        if k is None:
             raise InternalError("presheaf morphism missing from a complete enumeration")
-        return self._mor_index[key]
+        return k
 
     def mors_between(self, i, j):
         return self.fincat.hom(i, j)
 
     def as_module(self):
         """The left-tensoring of the enumerated category, as a validated
-        finite module over the base."""
+        finite module over the base: u ⊗ t has the components of t
+        tensored through one row of tensor_mor(u, -) per base morphism u."""
         if self._module is None:
             base = self.source.base
-            aob = {}
-            for m in base.objects():
-                for i, p in enumerate(self.presheaves):
-                    aob[(m, i)] = self.index_of(tensor_presheaf(m, p))
+            ps = range(len(self.presheaves))
+            aob = {(m, i): self.index_of(tensor_presheaf(m, self.presheaves[i]))
+                   for m in base.objects() for i in ps}
             amor = {}
             for u in base.morphisms():
-                for k, t in enumerate(self.morphisms):
-                    i, j = self._index[t.source], self._index[t.target]
-                    comps = tuple(base.tensor_mor(u, c) for c in t.components)
-                    amor[(u, k)] = self.mor_index(aob[(base.dom(u), i)],
-                                                  aob[(base.cod(u), j)], comps)
+                tensor_u = [base.tensor_mor(u, c) for c in base.morphisms()]
+                src = [aob[(base.dom(u), i)] for i in ps]
+                tgt = [aob[(base.cod(u), j)] for j in ps]
+                for k, (i, j, comps) in enumerate(self._family):
+                    amor[(u, k)] = self.mor_index(src[i], tgt[j],
+                                                  map(tensor_u.__getitem__, comps))
             self._module = validate_module(base, self.fincat, aob, amor,
                                            name=f"P({self.source.name})")
         return self._module
@@ -250,12 +253,10 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
         for action in backtrack(cands, unit + compat):
             presheaves.append(Presheaf(source, values, action))
 
-    fincat, mor_indices = family_category(
+    fincat, family = family_category(
         base.carrier, presheaves, lambda p: p.values, presheaf_square_laws,
         "presheaf-morphism", "F", "p", f"P({source.name})", caps)
-    morphisms = [PresheafMor(presheaves[i], presheaves[j], comps)
-                 for i, j, comps in mor_indices]
-    return PresheafCategory(source, presheaves, morphisms, fincat)
+    return PresheafCategory(source, presheaves, family, fincat)
 
 
 def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:
