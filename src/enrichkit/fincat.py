@@ -7,7 +7,8 @@ one check sequence:
 
 - the name boundary (``validate_fincat``) takes spec and table input.  It
   interns object and morphism names to dense integer indices and rejects
-  duplicates, dangling references, non-composable and conflicting entries;
+  duplicates, dangling references and defective compose and identity
+  entries, in table order;
 - the index kernel (``validate_rows``) checks typing, totality, the
   identities, the unit laws and associativity on indices.  Derived
   categories (``family_category``) are built on indices and enter here
@@ -19,8 +20,8 @@ decided per category, never per cell: a thin category (every hom-set has
 at most one element) satisfies it by typing alone, and otherwise it is
 checked with the middle morphism ranging over a generating set only
 (Light's test, Clifford & Preston, *The Algebraic Theory of Semigroups* I,
-1961, §1.2).  Names are for reports; a derived category numbers its
-morphisms by a prefix and makes each name on demand.  Every enumeration
+1961, §1.2).  Names are for reports; a derived category names its
+objects and morphisms by a prefix and their index.  Every enumeration
 follows declaration order, so reports are byte-identical across runs.
 """
 
@@ -42,24 +43,6 @@ from .errors import (
 from .search import backtrack, bounded_plans, failures, guard_space, search_space
 
 
-class Numbered:
-    """The names prefix0, prefix1, ... of n items, each made when read."""
-
-    __slots__ = ("prefix", "n")
-
-    def __init__(self, prefix, n):
-        self.prefix = prefix
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return f"{self.prefix}{i}"
-
-
 class FinCat:
     """A validated finite category.  Construct via ``validate_fincat`` or
     ``validate_rows``.
@@ -67,21 +50,22 @@ class FinCat:
     Objects and morphisms are addressed by dense integer indices; names are
     kept for reports.  ``compose(g, f)`` means "g after f" and reads
     ``rows[g][pos[f]]``, where pos[f] is the place of f among the morphisms
-    into its codomain.  ``thin`` is true when every hom-set has at most one
-    element, so any two parallel morphisms are equal.
+    into its codomain (``by_cod`` is the pair (into, pos) of ``_group``
+    over the codomains).  ``thin`` is true when every hom-set has at most
+    one element, so any two parallel morphisms are equal.
     """
 
-    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, rows):
+    def __init__(self, name, objects, mor_names, mor_dom, mor_cod, by_cod, rows):
         self.name = name
         self.objects = tuple(objects)
-        self.mor_names = mor_names
+        self.mor_names = tuple(mor_names)
         self.mor_dom = tuple(mor_dom)
         self.mor_cod = tuple(mor_cod)
         self.identity = None     # set by validate_rows
         self._rows = rows
         self._obj_index = {n: i for i, n in enumerate(self.objects)}
-        self._mor_index = None   # name -> index, built on first lookup
-        self._into, self._pos = _group(len(self.objects), self.mor_cod)
+        self._mor_index = {n: i for i, n in enumerate(self.mor_names)}
+        self._into, self._pos = by_cod
         self._by_dom = _group(len(self.objects), self.mor_dom)[0]
         hom = {}
         for m, key in enumerate(zip(self.mor_dom, self.mor_cod)):
@@ -105,8 +89,6 @@ class FinCat:
         return self._obj_index[name]
 
     def mor(self, name):
-        if self._mor_index is None:
-            self._mor_index = {n: i for i, n in enumerate(self.mor_names)}
         if name not in self._mor_index:
             raise DanglingReference(f"unknown morphism {name!r} in {self.name!r}")
         return self._mor_index[name]
@@ -168,7 +150,7 @@ class FinCat:
             return NotImplemented
         return self is other or (
             self.objects == other.objects
-            and tuple(self.mor_names) == tuple(other.mor_names)
+            and self.mor_names == other.mor_names
             and self.mor_dom == other.mor_dom
             and self.mor_cod == other.mor_cod
             and self.identity == other.identity
@@ -177,7 +159,7 @@ class FinCat:
     def __hash__(self):
         # Computed on first use: presheaf categories are large and rarely hashed.
         if self._hash is None:
-            self._hash = hash((self.objects, tuple(self.mor_names), self.mor_dom,
+            self._hash = hash((self.objects, self.mor_names, self.mor_dom,
                                self.mor_cod, self.identity,
                                tuple(map(tuple, self._rows))))
         return self._hash
@@ -213,11 +195,13 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     identity:  optional {object: morphism} map; inferred from the compose
                table when omitted.
 
-    This part checks the size caps, duplicate and dangling names, and
-    compose entries that are not composable pairs or conflict with an
-    earlier entry, in table order; the kernel checks the rest.  So on a
-    table with several defects a name-level one is reported before any
-    ill-typed or missing composite or misplaced identity.
+    This part checks, in order: the size caps and duplicate or dangling
+    names; per compose entry in table order, its names, that it is a
+    composable pair, that it agrees with an earlier entry and that its
+    value has the right dom/cod; totality; per declared identity in table
+    order, its names and that it is an endomorphism of its object.  The
+    kernel checks the rest, so a table with several defects reports the
+    first in this order.
     """
     objects = list(objects)
     if len(objects) > caps.max_objects:
@@ -243,7 +227,7 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
     if len(mor_names) > caps.max_morphisms:
         raise SizeBound(f"{len(mor_names)} morphisms exceeds cap {caps.max_morphisms}")
 
-    into, pos = _group(len(objects), mor_cod)
+    by_cod = into, pos = _group(len(objects), mor_cod)
     rows = [[None] * len(into[d]) for d in mor_dom]
     for g, f, gf in compose:
         for n in (g, f, gf):
@@ -259,7 +243,12 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
             raise IllTypedComposite(
                 f"conflicting compose entries for ({g!r}, {f!r})",
                 witness={"g": g, "f": f})
+        if mor_dom[ri] != mor_dom[fi] or mor_cod[ri] != mor_cod[gi]:
+            raise _ill_typed(g, f, gf)
         row[p] = ri
+    if any(None in row for row in rows):
+        raise _missing(rows, pos, _group(len(objects), mor_dom)[0], mor_cod,
+                       mor_names.__getitem__)
 
     ident = None
     if identity is not None:
@@ -269,18 +258,22 @@ def validate_fincat(objects, morphisms, compose, identity=None, name="",
                 raise DanglingReference(f"identity table: unknown object {oname!r}")
             if mname not in mor_index:
                 raise DanglingReference(f"identity table: unknown morphism {mname!r}")
-            ident[obj_index[oname]] = mor_index[mname]
-    return validate_rows(name, objects, tuple(mor_names), mor_dom, mor_cod, rows, ident)
+            m, x = mor_index[mname], obj_index[oname]
+            if mor_dom[m] != x or mor_cod[m] != x:
+                raise _not_endo(oname, mname)
+            ident[x] = m
+    return validate_rows(name, objects, mor_names, mor_dom, mor_cod, by_cod, rows, ident)
 
 
-def validate_rows(name, objects, mor_names, mor_dom, mor_cod, rows,
+def validate_rows(name, objects, mor_names, mor_dom, mor_cod, by_cod, rows,
                   identity=None) -> FinCat:
     """The index kernel: check composition rows and return the FinCat.
 
     objects:   object names, one per object index.
-    mor_names: morphism names, one per morphism index (a tuple, or a
-               ``Numbered`` range made on demand).
+    mor_names: morphism names, one per morphism index.
     mor_dom, mor_cod: the object index of each morphism's endpoints.
+    by_cod:    ``_group(len(objects), mor_cod)``: per object the morphisms
+               into it, and per morphism its place among them.
     rows:      per morphism g, the list of composites g∘f over the
                morphisms f into dom g, in index order; None where a
                composite is missing.  Kept as the category's storage.
@@ -297,9 +290,9 @@ def validate_rows(name, objects, mor_names, mor_dom, mor_cod, rows,
     generates every morphism.  On a mismatch every middle is checked, and
     the witness is the first failing triple in (f, g, h) scan order.
     """
-    cat = FinCat(name, objects, mor_names, mor_dom, mor_cod, rows)
+    cat = FinCat(name, objects, mor_names, mor_dom, mor_cod, by_cod, rows)
     name_of, mor_dom, mor_cod = cat.mor_name, cat.mor_dom, cat.mor_cod
-    into, pos = cat._into, cat._pos
+    into, pos = by_cod
 
     # Typing and totality: each row is compared at once with the endpoints
     # its composites must have, coded as dom·n + cod per morphism, and only
@@ -311,24 +304,19 @@ def validate_rows(name, objects, mor_names, mor_dom, mor_cod, rows,
            or list(map(code.__getitem__, row)) != want[mor_dom[g], mor_cod[g]]]
     if bad:
         bad = set(bad)
-        pairs = [(g, f) for g, f in cat.composable_pairs() if g in bad]
-        for g, f in pairs:
+        for g, f in cat.composable_pairs():
+            if g not in bad:
+                continue
             r = rows[g][pos[f]]
             if r is not None and (mor_dom[r] != mor_dom[f] or mor_cod[r] != mor_cod[g]):
-                g, f, r = name_of(g), name_of(f), name_of(r)
-                raise IllTypedComposite(f"compose({g!r}, {f!r}) = {r!r} has wrong dom/cod",
-                                        witness={"g": g, "f": f, "value": r})
-        g, f = next((g, f) for g, f in pairs if rows[g][pos[f]] is None)
-        raise MissingComposite(f"no composite for ({name_of(g)!r}, {name_of(f)!r})",
-                               witness={"g": name_of(g), "f": name_of(f)})
+                raise _ill_typed(name_of(g), name_of(f), name_of(r))
+        raise _missing(rows, pos, cat._by_dom, mor_cod, name_of)
 
     if identity is None:
         identity = _infer_identities(cat, objects)
     for x, m in enumerate(identity):
         if m is not None and (mor_dom[m] != x or mor_cod[m] != x):
-            raise UnitViolation(
-                f"declared identity {name_of(m)!r} is not an endomorphism of "
-                f"{objects[x]!r}", witness={"object": objects[x], "morphism": name_of(m)})
+            raise _not_endo(objects[x], name_of(m))
     if None in identity:
         missing = objects[identity.index(None)]
         raise UnitViolation(f"no identity declared for {missing!r}",
@@ -352,6 +340,25 @@ def validate_rows(name, objects, mor_names, mor_dom, mor_cod, rows,
             f"(h∘g)∘f ≠ h∘(g∘f) for h={name_of(h)!r}, g={name_of(g)!r}, f={name_of(f)!r}",
             witness={"h": name_of(h), "g": name_of(g), "f": name_of(f)})
     return cat
+
+
+def _ill_typed(g, f, gf):
+    return IllTypedComposite(f"compose({g!r}, {f!r}) = {gf!r} has wrong dom/cod",
+                             witness={"g": g, "f": f, "value": gf})
+
+
+def _missing(rows, pos, by_dom, mor_cod, name_of):
+    """The MissingComposite naming the first composable pair (g, f) without
+    a composite, in (f, g) scan order; the rows must have one."""
+    g, f = next((g, f) for f, c in enumerate(mor_cod) for g in by_dom[c]
+                if rows[g][pos[f]] is None)
+    return MissingComposite(f"no composite for ({name_of(g)!r}, {name_of(f)!r})",
+                            witness={"g": name_of(g), "f": name_of(f)})
+
+
+def _not_endo(oname, mname):
+    return UnitViolation(f"declared identity {mname!r} is not an endomorphism of {oname!r}",
+                         witness={"object": oname, "morphism": mname})
 
 
 def _assoc_failures(cat, middles):
@@ -428,10 +435,7 @@ def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
         for j, g in enumerate(objs):
             cands = {x: list(cat.hom(a, b))
                      for x, (a, b) in enumerate(zip(values(f), values(g)))}
-            space = search_space(cands)
-            guard_space(max(space, 1), caps, what)
-            if not space:
-                continue   # some component has no candidate: no morphism i -> j
+            guard_space(max(search_space(cands), 1), caps, what)
             for asg in backtrack(cands, square_laws(f, g)):
                 if len(family) == caps.max_morphisms:
                     raise SizeBound(f"{what} count exceeds cap {caps.max_morphisms}")
@@ -444,9 +448,10 @@ def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
     # composite up by its key (source, j, *components).
     mor_dom, mor_cod = [i for i, _, _ in family], [j for _, j, _ in family]
     width = len(values(objs[0])) if objs else 0
+    by_cod = _group(len(objs), mor_cod)
     cols = [([family[k][0] for k in ks],
              *([cat._pos[family[k][2][x]] for k in ks] for x in range(width)))
-            for ks in _group(len(objs), mor_cod)[0]]
+            for ks in by_cod[0]]
     rows = []
     for i, j, comps in family:
         srcs, *places = cols[i]
@@ -455,8 +460,8 @@ def family_category(cat: FinCat, objs, values, square_laws, what, obj_prefix,
     identity = [family.keys.get((i, i, *map(cat.id_of, values(f))))
                 for i, f in enumerate(objs)]
     return validate_rows(name, [f"{obj_prefix}{i}" for i in range(len(objs))],
-                         Numbered(mor_prefix, len(family)), mor_dom, mor_cod,
-                         rows, identity), family
+                         [f"{mor_prefix}{k}" for k in range(len(family))],
+                         mor_dom, mor_cod, by_cod, rows, identity), family
 
 
 def _group(n_objects, ends):
@@ -510,34 +515,22 @@ def fin_functor(source: FinCat, target: FinCat, ob_map, mor_map) -> FinFunctor:
             raise FunctorLawViolation(
                 f"identity of {source.obj_name(x)!r} not preserved",
                 witness={"object": source.obj_name(x)})
-    if next(failures(functor_laws(source, target), mor_map), None) is not None:
-        for g, f in failures(_preservation(source, target, source.composable_pairs()),
-                             mor_map):
-            g, f = source.mor_name(g), source.mor_name(f)
-            raise FunctorLawViolation(f"composition not preserved on ({g!r}, {f!r})",
-                                      witness={"g": g, "f": f})
+    for g, f in failures(functor_laws(source, target), mor_map):
+        g, f = source.mor_name(g), source.mor_name(f)
+        raise FunctorLawViolation(f"composition not preserved on ({g!r}, {f!r})",
+                                  witness={"g": g, "f": f})
     return FinFunctor(source, target, ob_map, mor_map)
 
 
 def functor_laws(source: FinCat, target: FinCat):
-    """Preservation of composition per composable pair (g, f) with g a
-    generator of the source, as a law table over the morphism slots of a
-    functor's mor_map.  For a map that preserves identities these cells
-    imply all others: writing g = s∘g' with s a generator,
-    F(g∘f) = F(s)∘F(g'∘f) = F(s)∘F(g')∘F(f) = F(g)∘F(f), by induction on
-    the length of g.  ``fin_functor`` rescans every pair on a failure."""
-    gens = set(source.generators())
-    return _preservation(source, target,
-                         (p for p in source.composable_pairs() if p[0] in gens))
-
-
-def _preservation(source, target, pairs):
-    """The preservation law per (g, f) of ``pairs``, as a law table."""
+    """Preservation of composition per composable pair (g, f), as a law
+    table over the morphism slots of a functor's mor_map."""
     def law(F, cell):
         g, f = cell
         return F[source.compose(g, f)] == target.compose(F[g], F[f])
 
-    return [((g, f, source.compose(g, f)), law, (g, f)) for g, f in pairs]
+    return [((g, f, source.compose(g, f)), law, (g, f))
+            for g, f in source.composable_pairs()]
 
 
 def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:

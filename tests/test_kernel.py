@@ -1,14 +1,11 @@
-"""The index kernel of fincat against the name boundary, the size caps of
-family categories, and functor laws reduced to the generators of the
-source.
+"""The index kernel of fincat against the name boundary, the order in which
+the boundary reports defects, and the size caps of family categories.
 
 Derived categories (presheaf and functor categories) are built on indices
 and validated by ``validate_rows``; spec and table input goes through
 ``validate_fincat``.  Both must give equal categories on the same tables
 and raise the same error on the same defect.
 """
-
-import itertools
 
 import pytest
 
@@ -17,28 +14,17 @@ from enrichkit.corpus import boolean_chain_mcat, s3_monoidal, z2_two_object_mcat
 from enrichkit.enriched import opposite_mcat, validate_mcat
 from enrichkit.errors import (
     AssociativityViolation,
+    DanglingReference,
     EnrichKitError,
-    FunctorLawViolation,
     IllTypedComposite,
     MissingComposite,
     SizeBound,
     UnitViolation,
 )
-from enrichkit.fincat import (
-    chain_cat,
-    enumerate_functors,
-    family_category,
-    fin_functor,
-    loop_cat,
-    parallel_pair,
-    validate_fincat,
-    validate_rows,
-    walking_arrow,
-)
+from enrichkit.fincat import family_category, loop_cat, validate_fincat, validate_rows
 from enrichkit.mfunctor import enumerate_mfun_et
 from enrichkit.monoidal import boolean_monoidal, opposite_monoidal
 from enrichkit.presheaf import enumerate_presheaves
-from enrichkit.search import backtrack
 from enrichkit.tensored import base_as_module
 from tests.test_fastpaths import shipped_categories
 from tests.test_reduced_checks import chain_mcat, ladder_rungs
@@ -48,6 +34,12 @@ from tests.test_reduced_checks import chain_mcat, ladder_rungs
 
 def into(cat, x):
     return [f for f in range(cat.n_morphisms) if cat.cod(f) == x]
+
+
+def by_cod(cat):
+    """Per object the morphisms into it, and per morphism its place there."""
+    groups = [into(cat, x) for x in range(cat.n_objects)]
+    return groups, [groups[cat.cod(f)].index(f) for f in range(cat.n_morphisms)]
 
 
 def rows_of(cat):
@@ -117,7 +109,7 @@ def test_kernel_and_name_path_give_equal_categories():
         assert validate_fincat(objects, morphisms, compose) == cat
 
 
-def test_derived_morphism_names_are_made_on_demand():
+def test_derived_morphism_names_are_prefix_and_index():
     pscat = enumerate_presheaves(chain_mcat(3, 4))
     cat = pscat.fincat
     assert cat.n_morphisms == 105 and len(cat.mor_names) == 105
@@ -169,12 +161,48 @@ def test_kernel_mutations_raise_what_the_name_path_raises():
         for rows, ident in corruptions(cat):
             got = outcome(lambda: validate_rows(
                 cat.name, cat.objects, cat.mor_names, cat.mor_dom, cat.mor_cod,
-                rows, ident))
+                by_cod(cat), rows, ident))
             want = outcome(lambda: validate_fincat(*named_tables(cat, rows, ident)))
             assert got is not None and got == want, cat.name
             kinds.add(got[0])
     assert kinds == {IllTypedComposite, MissingComposite, UnitViolation,
                      AssociativityViolation}
+
+
+# --- the name boundary reports the first defect in table order --------------
+
+ARROW_OBJECTS = ["a", "b"]
+ARROW_MORPHISMS = [("id_a", "a", "a"), ("id_b", "b", "b"), ("u", "a", "b")]
+ARROW_COMPOSE = [("id_a", "id_a", "id_a"), ("id_b", "id_b", "id_b"),
+                 ("u", "id_a", "u"), ("id_b", "u", "u")]
+
+
+def arrow_outcome(compose, identity=None):
+    return outcome(lambda: validate_fincat(ARROW_OBJECTS, ARROW_MORPHISMS, compose,
+                                           identity, name="arrow"))
+
+
+def test_boundary_reports_two_defects_in_table_order():
+    # An ill-typed entry comes before a dangling name in a later entry.
+    assert arrow_outcome([("u", "id_a", "id_b")] + ARROW_COMPOSE[1:3]
+                         + [("id_b", "u", "w")]) == (
+        IllTypedComposite, "compose('u', 'id_a') = 'id_b' has wrong dom/cod",
+        {"g": "u", "f": "id_a", "value": "id_b"})
+    # Two ill-typed entries: the first in the table, not in (f, g) scan
+    # order, where (u, id_a) comes first.
+    assert arrow_outcome(ARROW_COMPOSE[:2] + [("id_b", "u", "id_a"),
+                                              ("u", "id_a", "id_b")]) == (
+        IllTypedComposite, "compose('id_b', 'u') = 'id_a' has wrong dom/cod",
+        {"g": "id_b", "f": "u", "value": "id_a"})
+    # A missing composite comes before a dangling identity name.
+    assert arrow_outcome(ARROW_COMPOSE[:3], {"a": "id_a", "b": "nope"}) == (
+        MissingComposite, "no composite for ('id_b', 'u')", {"g": "id_b", "f": "u"})
+    assert arrow_outcome(ARROW_COMPOSE, {"a": "id_a", "b": "nope"}) == (
+        DanglingReference, "identity table: unknown morphism 'nope'", {})
+    # Declared identities are checked in the order of the identity table.
+    assert arrow_outcome(ARROW_COMPOSE, {"b": "u", "a": "u"}) == (
+        UnitViolation, "declared identity 'u' is not an endomorphism of 'b'",
+        {"object": "b", "morphism": "u"})
 
 
 # --- size caps before the work -----------------------------------------------
@@ -218,73 +246,3 @@ def test_enumerations_stop_at_the_caps():
     n = len(enumerate_mfun_et(B, T).morphisms)
     with pytest.raises(SizeBound, match=f"^functor-morphism count exceeds cap {n - 1}$"):
         enumerate_mfun_et(B, T, Caps(max_morphisms=n - 1))
-
-
-# --- functor laws on the generators of the source ----------------------------
-
-FUNCTOR_CATS = [walking_arrow(), parallel_pair(), chain_cat(3), loop_cat(3)]
-
-
-def full_functor_scan(C, D, ob_map, mor_map):
-    """The first failure of fin_functor's checks, with composition checked
-    on every composable pair in (f, g) scan order."""
-    for m in range(C.n_morphisms):
-        if (D.dom(mor_map[m]), D.cod(mor_map[m])) != (ob_map[C.dom(m)], ob_map[C.cod(m)]):
-            return {"morphism": C.mor_name(m)}
-    for x in range(C.n_objects):
-        if mor_map[C.id_of(x)] != D.id_of(ob_map[x]):
-            return {"object": C.obj_name(x)}
-    for f in range(C.n_morphisms):
-        for g in range(C.n_morphisms):
-            if (C.dom(g) == C.cod(f)
-                    and mor_map[C.compose(g, f)] != D.compose(mor_map[g], mor_map[f])):
-                return {"g": C.mor_name(g), "f": C.mor_name(f)}
-    return None
-
-
-def fin_functor_witness(C, D, ob_map, mor_map):
-    try:
-        fin_functor(C, D, ob_map, mor_map)
-    except FunctorLawViolation as exc:
-        return exc.witness
-    return None
-
-
-def test_functor_laws_on_generators_match_the_full_table():
-    kinds = set()
-    for C, D in itertools.product(FUNCTOR_CATS, repeat=2):
-        for F in enumerate_functors(C, D):
-            for m, v in itertools.product(range(C.n_morphisms), range(D.n_morphisms)):
-                mor_map = F.mor_map[:m] + (v,) + F.mor_map[m + 1:]
-                want = full_functor_scan(C, D, F.ob_map, mor_map)
-                assert fin_functor_witness(C, D, F.ob_map, mor_map) == want
-                kinds.add(tuple(want or ()))
-    assert {("morphism",), ("object",), ("g", "f"), ()} <= kinds
-
-
-def test_fin_functor_names_the_first_failing_pair_not_the_first_generator_cell():
-    # Z3 -> Z4 with r1 -> r1, r2 -> r2: the generator cell (r1, r1) holds,
-    # (r2, r1) is the first failing pair and (r1, r2) the first failing
-    # generator cell.
-    C, D = loop_cat(3), loop_cat(4)
-    assert C.generators() == (1,)
-    assert full_functor_scan(C, D, (0,), (0, 1, 2)) == {"g": "r2", "f": "r1"}
-    assert fin_functor_witness(C, D, (0,), (0, 1, 2)) == {"g": "r2", "f": "r1"}
-
-
-def test_enumerate_functors_matches_the_full_table():
-    for C, D in itertools.product(FUNCTOR_CATS, repeat=2):
-        full = [((g, f, C.compose(g, f)),
-                 lambda F, cell: F[C.compose(*cell)] == D.compose(F[cell[0]], F[cell[1]]),
-                 (g, f))
-                for f in range(C.n_morphisms) for g in range(C.n_morphisms)
-                if C.dom(g) == C.cod(f)]
-        want = []
-        for ob_map in itertools.product(range(D.n_objects), repeat=C.n_objects):
-            cands = {m: ([D.id_of(ob_map[C.dom(m)])] if C.is_identity(m)
-                         else list(D.hom(ob_map[C.dom(m)], ob_map[C.cod(m)])))
-                     for m in range(C.n_morphisms)}
-            want += [(ob_map, tuple(asg[m] for m in range(C.n_morphisms)))
-                     for asg in backtrack(cands, full)]
-        got = [(F.ob_map, F.mor_map) for F in enumerate_functors(C, D)]
-        assert got == want, (C.name, D.name)
