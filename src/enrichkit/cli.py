@@ -22,6 +22,7 @@ from .caps import DEFAULT_CAPS, scaled
 from .corpus import CorpusSampler, terminal_weight
 from .enriched import mcat_from_fincat, slot_error, slot_type, validate_mcat
 from .errors import (
+    DanglingReference,
     EnrichKitError,
     IllTypedComposite,
     Overflow,
@@ -314,13 +315,34 @@ class _Reader:
 
 def _built(section):
     """A Builder method over one section: ``make(self, decl, name)`` runs
-    on the resolved declaration, once per name that builds."""
+    on the resolved declaration once per name, and its value or its failure
+    is kept.  A failure is raised again as it was wherever the declaration
+    that failed is asked for; a declaration built on it fails with one
+    ``DanglingReference`` that names it, not with its witness again."""
+    kind = SECTIONS[section]
+
     def wrap(make):
         def method(self, name):
             key = (make.__name__, name)
             if key not in self._cache:
-                self._cache[key] = make(self, getattr(self.spec, section)[name], name)
-            return self._cache[key]
+                try:
+                    self._cache[key] = make(self, getattr(self.spec, section)[name], name)
+                except (SizeBound, Overflow):
+                    raise
+                except EnrichKitError as exc:
+                    failed = getattr(exc, "declaration", None)
+                    if failed is None:
+                        exc.declaration = failed = (kind, name)
+                    if failed != (kind, name):
+                        exc = DanglingReference(
+                            f"built on {failed[0]} {failed[1]!r}, which failed",
+                            witness=dict([failed]))
+                        exc.declaration = failed
+                    self._cache[key] = exc
+            value = self._cache[key]
+            if isinstance(value, EnrichKitError):
+                raise value
+            return value
         return method
     return wrap
 

@@ -40,7 +40,8 @@ class MCat:
 
     Equality and hash are structural (the name is ignored, and the support
     is derived); the hash is computed once here because presheaf keys hash
-    their source.
+    their source.  ``derived`` keeps what the layers above compute from the
+    category alone; equality and hash ignore it too.
     """
 
     def __init__(self, base, objects, hom, unit, comp, name=""):
@@ -60,6 +61,18 @@ class MCat:
         for x, y in self.support:
             succ[x].append(y)
         self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
+        self._derived = {}
+
+    def derived(self, build, *args):
+        """build(self, *args), computed on first use and kept by this
+        instance, so it dies with it.  The colimit layer keeps here what
+        depends on the category only (Yoneda presheaves, structure
+        morphisms, hom diagrams, sampled weights); each value passes its
+        self-check once, when it is built."""
+        key = (build, *args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     @property
     def n_objects(self):

@@ -2,8 +2,22 @@
 
 A weighted colimit is computed by its coproduct-and-coequalizer
 presentation (Kelly 1982, §3.3-3.4): the relation object sums
-act(W(y) ⊗ hom(x,y), F(x)) over all pairs, mapped into the sum of
-act(W(x), F(x)) by the weight-action side and the diagram-action side.
+act(W(y) ⊗ hom(x,y), F(x)) over the pairs of ``A.support``, mapped into the
+sum of act(W(x), F(x)) by the weight-action side and the diagram-action
+side.  A pair with a null hom is left out: a tensor or action by a null
+object is initial (``is_null``; the tensor preserves colimits, Kelly 1982,
+§1.2), so its summand has no element and adds nothing to either map.  For
+the same reason ``res`` gives such a pair the map out of the initial
+object instead of going through the tensor comparison.
+
+What the checks build from A alone, whatever the diagram, is built once
+per ``MCat`` and kept on it (``MCat.derived``): the Yoneda presheaves, the
+structure maps hom(x,y) ⊗ Y(x) -> Y(y) over the support, each self-checked
+once when built, the hom diagrams hom(w, -) per caps, and the presheaf
+module of ``check_equivalence`` with its sampled weights.  ``res``,
+``round_trip_components``, ``canonical_presentation`` and
+``check_equivalence`` read them there, so repeated checks over one category
+share them, and they die with the category.
 
 The generic functions use only two interfaces.  A base provides the
 category operations bound from its carrier (``id_of``, ``compose``,
@@ -218,6 +232,11 @@ class WCocone:
 
 @dataclass(frozen=True)
 class PresentationWitness:
+    """The presentation of a weighted colimit: the summands act(W(x), F(x))
+    with their injections, the relation parts act(W(y) ⊗ hom(x,y), F(x))
+    per pair (x, y) of ``A.support`` (a null pair adds an initial summand
+    and is left out), the two maps out of their sum, and the projection
+    onto the coequalizer."""
     summands: tuple
     injections: tuple
     relation_parts: tuple
@@ -250,11 +269,12 @@ def weighted_colimit(W: Presheaf, F: MFunET, B=None) -> WColimit:
     summands = [B.act_ob(W.values[x], F.ob_map[x]) for x in range(n)]
     S, injs = B.coproduct(summands)
 
-    pairs = [(x, y) for x in range(n) for y in range(n)]
+    # a pair with a null hom gives an initial summand (``is_null``): it adds
+    # no element to the relation object and nothing to d0 or d1
     rel_parts = []
     left_legs = []
     right_legs = []
-    for (x, y) in pairs:
+    for x, y in A.support:
         whom = base.tensor_ob(W.values[y], A.hom(x, y))
         rel_parts.append(B.act_ob(whom, F.ob_map[x]))
         # weight side: act(W.action, id) then include at x
@@ -340,7 +360,12 @@ def sample_probes(wc: WColimit, rng: random.Random, count, B=None):
 # --- canonical presentation ---------------------------------------------------
 
 def hom_diagram(A: MCat, w, caps: Caps = DEFAULT_CAPS) -> MFunET:
-    """The covariant hom functor x -> hom(w, x) into finite sets."""
+    """The covariant hom functor x -> hom(w, x) into finite sets, validated
+    once per ``A`` and caps (``MCat.derived``)."""
+    return A.derived(_hom_diagram, w, caps)
+
+
+def _hom_diagram(A: MCat, w, caps: Caps) -> MFunET:
     B = FinSetModule(caps)
     n = A.n_objects
     ob_map = tuple(A.hom(w, x) for x in range(n))
@@ -462,32 +487,38 @@ def ext(F: MFunET, module=None) -> Ext:
 
 def structure_presheaf_mor(A: MCat, x, y) -> PresheafMor:
     """The canonical map hom(x,y) ⊗ Y(x) -> Y(y) with components given by
-    composition."""
-    src = tensor_presheaf(A.hom(x, y), yoneda_presheaf(A, x))
-    return _structure_mor(A, x, y, src, yoneda_presheaf(A, y))
+    composition, built and self-checked once per ``A`` (``MCat.derived``)."""
+    return A.derived(_structure_mor, x, y)
 
 
-def _structure_mor(A: MCat, x, y, src: Presheaf, yy: Presheaf) -> PresheafMor:
-    """structure_presheaf_mor with src = hom(x,y) ⊗ Y(x) and yy = Y(y) given."""
-    return _presheaf_mor(src, yy, tuple(A.comp(w, x, y) for w in range(A.n_objects)))
+def _structure_mor(A: MCat, x, y) -> PresheafMor:
+    m, yx = A.hom(x, y), A.derived(yoneda_presheaf, x)
+    # the base is strict, so unit ⊗ Y(x) is Y(x) itself
+    src = yx if m == A.base.unit else tensor_presheaf(m, yx)
+    return _presheaf_mor(src, A.derived(yoneda_presheaf, y),
+                         tuple(A.comp(w, x, y) for w in range(A.n_objects)))
 
 
 def res(G: Ext) -> MFunET:
     """Restriction along the Yoneda embedding: ob_map x -> G(Y(x)), actions
-    from G applied to the structure maps, through the tensor comparison."""
+    from G applied to the structure maps, through the tensor comparison.
+    Over a pair with a null hom the action is out of act(hom(x,y), G(Y(x))),
+    which is initial (``is_null``), so it is the map out of the empty sum."""
     A = G.diagram.source
     B = G.module
     n = A.n_objects
-    ys = [yoneda_presheaf(A, x) for x in range(n)]
+    ys = [A.derived(yoneda_presheaf, x) for x in range(n)]
     ob_map = tuple(G.apex(yx) for yx in ys)
     phi = {}
     for x in range(n):
         for y in range(n):
+            if y not in A.succ[x]:
+                phi[(x, y)] = B.copair([], [], ob_map[y])
+                continue
             # hom(x,y) ⊗ Y(x) is both the structure map's source and the
             # weight whose colimit the tensor comparison starts from
-            src = tensor_presheaf(A.hom(x, y), ys[x])
-            c = _structure_mor(A, x, y, src, ys[y])
-            cmp = G._tensor_comparison(A.hom(x, y), ys[x], src)
+            c = structure_presheaf_mor(A, x, y)
+            cmp = G._tensor_comparison(A.hom(x, y), ys[x], c.source)
             if not B.is_iso(cmp):
                 raise InternalError("tensor comparison is not invertible")
             phi[(x, y)] = B.compose(G.on_mor(c), B.inverse(cmp))
@@ -503,7 +534,7 @@ def round_trip_components(F: MFunET, G: Ext = None):
     B = G.module
     comps = []
     for x in range(A.n_objects):
-        wc = G.colimit(yoneda_presheaf(A, x))
+        wc = G.colimit(A.derived(yoneda_presheaf, x))
         legs = tuple(F.phi[(z, x)] for z in range(A.n_objects))
         mu = mediate(wc, legs, F.ob_map[x], B)
         if mu is None:
@@ -564,20 +595,18 @@ def check_equivalence(entries, caps: Caps = DEFAULT_CAPS) -> EquivalenceReport:
         checks += 1
         failures.extend(fails)
         Gp = ext(Fp, B)
-        PM = PresheafModule(A, caps)
+        PM, pair, quotient = A.derived(_weight_samples, caps)
 
         # assemble sampled weights: given ones, plus coproducts of
         # representables and quotient weights
-        ys = [yoneda_presheaf(A, x) for x in range(A.n_objects)]
         sampled = list(weights)
         sample_mors = []
-        if len(ys) >= 2:
-            co, injs = PM.coproduct([ys[0], ys[1]])
+        if pair:
+            co, injs = pair
             sampled.append(co)
             sample_mors.extend(injs)
-        if ys:
-            _, injs2 = PM.coproduct([ys[0], ys[0]])
-            Q, q = PM.coequalizer(injs2[0], injs2[1])
+        if quotient:
+            injs2, Q, q = quotient
             sampled.append(Q)
             sample_mors.append(q)
 
@@ -594,20 +623,33 @@ def check_equivalence(entries, caps: Caps = DEFAULT_CAPS) -> EquivalenceReport:
                 failures.append({"kind": "ext-res-not-natural"})
 
         # (iii) preservation of the sampled coproduct and coequalizer
-        if len(ys) >= 2:
-            apexes = [G.apex(ys[0]), G.apex(ys[1])]
-            can = B.copair(apexes, [G.on_mor(injs[0]), G.on_mor(injs[1])],
-                           G.apex(co))
+        if pair:
+            apexes = [G.apex(i.source) for i in injs]
+            can = B.copair(apexes, [G.on_mor(i) for i in injs], G.apex(co))
             checks += 1
             if not B.is_iso(can):
                 failures.append({"kind": "coproduct-not-preserved"})
-        if ys:
+        if quotient:
             _, p = B.coequalizer(G.on_mor(injs2[0]), G.on_mor(injs2[1]))
             med = B.factor(p, G.on_mor(q))
             checks += 1
             if med is None or not B.is_iso(med):
                 failures.append({"kind": "coequalizer-not-preserved"})
     return EquivalenceReport(len(entries), checks, tuple(failures))
+
+
+def _weight_samples(A: MCat, caps: Caps):
+    """check_equivalence's presheaf module over A with its sampled weights:
+    (module, (Y(0)+Y(1), its injections) or None, (the injections of
+    Y(0)+Y(0), their coequalizer Q, the quotient map) or None)."""
+    PM = PresheafModule(A, caps)
+    ys = [A.derived(yoneda_presheaf, x) for x in range(min(A.n_objects, 2))]
+    pair = PM.coproduct(ys) if len(ys) == 2 else None
+    quotient = None
+    if ys:
+        _, injs2 = PM.coproduct([ys[0], ys[0]])
+        quotient = (injs2, *PM.coequalizer(*injs2))
+    return PM, pair, quotient
 
 
 def _comparison(G: Ext, Gp: Ext, mu, W: Presheaf, B):

@@ -539,7 +539,7 @@ def test_conflicting_rows_fail_their_record(tmp_path, spec, section, name, key, 
                                             witness):
     # two rows giving one cell different values fail like conflicting compose
     # entries, whichever comes last; a repeated identical row is accepted.  A
-    # declaration built on the failing one fails with the same witness.
+    # declaration built on the failing one fails with one line naming it.
     sections = {"monoidal": "monoidal", "enriched": "enriched", "module": "modules",
                 "presheaf": "presheaves", "mfunctor": "mfunctors", "weight": "weights"}
     raw = (module_and_presheaf_spec() if spec == "module"
@@ -556,10 +556,33 @@ def test_conflicting_rows_fail_their_record(tmp_path, spec, section, name, key, 
     failed = [r for r in run("validate", parse_spec(f)).records if r.verdict != "pass"]
     cell = ", ".join(map(repr, witness.values()))
     assert failed[0].check == f"validate.{section}"
-    assert {(r.verdict, tuple(r.witnesses)) for r in failed} == {
-        ("fail", (f"IllTypedComposite: conflicting {key} entries for ({cell})",))}
+    assert [(r.verdict, r.witnesses) for r in failed] == [
+        ("fail", [f"IllTypedComposite: conflicting {key} entries for ({cell})"])] + [
+        ("fail", [f"DanglingReference: built on {section} {name!r}, which failed"])
+    ] * (len(failed) - 1)
     assert failed[0].details == {"witness": witness}
+    assert all(r.details == {"witness": {section: name}} for r in failed[1:])
     assert main(["--spec", str(f), "--check", "validate"]) == 1
+
+
+def test_a_failed_declaration_is_built_once(tmp_path, monkeypatch):
+    # both yoneda records ask for chain2; the second meets the kept failure,
+    # which names chain2's own cell as the first did
+    from enrichkit import cli
+
+    raw = json.loads((SPECS / "boolean_chain.json").read_text())
+    raw["enriched"]["chain2"]["hom"].insert(0, ["a", "b", "0"])
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(raw))
+    tables = []
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells",
+                        lambda rows, what, *rest: tables.append(what) or cells(rows, what, *rest))
+    report = run("yoneda", parse_spec(f))
+    assert tables.count("hom") == 1
+    assert [(r.check, r.witnesses) for r in report.records] == [
+        (check, ["IllTypedComposite: conflicting hom entries for ('a', 'b')"])
+        for check in ("yoneda.lemma", "yoneda.fully_faithful")]
 
 
 def test_fuzz_under_a_small_cap_is_a_resource_error(capsys):

@@ -31,3 +31,28 @@ def _unread_caps():
 
 def test_every_caps_parameter_is_read():
     assert _unread_caps() - UNREAD_CAPS_ACCEPTED == set()
+
+
+def _module_level_caches():
+    """module.function for every function defined at module level or in a
+    module-level class and decorated with functools.cache or lru_cache."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in defs:
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    out.add(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_module_level_memoization():
+    # a value derived from a structure lives on that structure (as
+    # ``MCat.derived`` does) and dies with it; nested helpers that cache
+    # within one call, as in ``presheaf.presheaf_laws``, are fine
+    assert _module_level_caches() == set()
