@@ -105,7 +105,8 @@ def parse_spec(path) -> SpecFile:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise SchemaViolation(f"{path}: top level must be an object")
-    if raw.get("enrichkit-spec") != 1:
+    version = raw.get("enrichkit-spec")
+    if type(version) is not int or version != 1:
         raise SchemaViolation(f"{path}: missing required 'enrichkit-spec' version field")
     for key in raw:
         if key != "enrichkit-spec" and key not in SECTIONS:
@@ -126,12 +127,14 @@ def _is_name(v):
     return isinstance(v, str)
 
 
+# JSON true and false load as bool, a subclass of int: neither a
+# cardinality nor a table entry.
 def _is_card(v):
-    return isinstance(v, int) and v >= 0
+    return type(v) is int and v >= 0
 
 
 def _is_table(v):
-    return isinstance(v, list) and all(isinstance(i, int) for i in v)
+    return isinstance(v, list) and all(type(i) is int for i in v)
 
 
 def _index(objects):

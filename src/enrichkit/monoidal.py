@@ -2,9 +2,11 @@
 
 Only strict structures are representable: associativity and unit laws must
 hold as table equalities, which is what lets every later check compare
-morphisms with ``==`` instead of chasing coherence isomorphisms.  The
-opposite structure swaps the tensor arguments and is an involution on the
-nose.
+morphisms with ``==`` instead of chasing coherence isomorphisms.  Those
+laws are the laws of the base acting on itself by ⊗ (its regular action),
+with the unit acting from both sides, so ``validate_monoidal`` runs the
+one action-law check, ``tensored.check_action``.  The opposite structure
+swaps the tensor arguments and is an involution on the nose.
 
 Both backends are categories through their carrier (``bind_carrier``) and
 add ``unit``, ``tensor_ob``, ``tensor_mor`` and ``is_null``; the finite one
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .fincat import FinCat, bind_carrier, discrete_cat, validate_fincat
 from .finset import SkSet, SkSetCat
+from .tensored import check_action
 
 
 class MonStr:
@@ -133,11 +136,30 @@ class SkSetMonStr:
         return f"SkSetMonStr({self.name!r})"
 
 
-def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="") -> MonStr:
-    """Exhaustively validate strict monoidal tables over a finite carrier.
+# The strict monoidal laws as the laws of the base acting on itself: per
+# law, the error, its message and the witness keys (see tensored.check_action).
+_TENSOR_LAWS = {
+    "missing_ob": (MissingComposite, "tensor_ob missing ({!r}, {!r})", "a b"),
+    "unit_ob": (UnitViolation, "tensor with unit is not the identity on {!r}", "object"),
+    "assoc_ob": (AssociativityViolation, "object tensor is not strictly associative",
+                 "a b c"),
+    "missing_mor": (MissingComposite, "tensor_mor missing ({!r}, {!r})", "f g"),
+    "typing": (IllTypedComposite, "tensor_mor({!r}, {!r}) has wrong dom/cod", "f g"),
+    "unit_mor": (UnitViolation, "tensor with id of unit is not the identity on {!r}",
+                 "morphism"),
+    "identity": (BifunctorialityViolation, "tensor of identities is not the identity", "a b"),
+    "interchange": (BifunctorialityViolation, "interchange law fails", "g g' f f'"),
+    "assoc_mor": (AssociativityViolation, "morphism tensor is not strictly associative",
+                  "f g h"),
+}
 
-    unit, tensor_ob and tensor_mor use names; every violation names a
-    witness cell.
+
+def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="") -> MonStr:
+    """Validate strict monoidal tables over a finite carrier.
+
+    unit, tensor_ob and tensor_mor use names.  The laws are those of the
+    base acting on itself by ⊗, with the unit acting from both sides
+    (``tensored.check_action``); every violation names a witness cell.
     """
     u = carrier.obj(unit)
     tob = {}
@@ -146,80 +168,9 @@ def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="") -> 
     tmor = {}
     for f, g, fg in tensor_mor:
         tmor[(carrier.mor(f), carrier.mor(g))] = carrier.mor(fg)
-
-    n, m = carrier.n_objects, carrier.n_morphisms
-    for a in range(n):
-        for b in range(n):
-            if (a, b) not in tob:
-                raise MissingComposite(
-                    f"tensor_ob missing ({carrier.obj_name(a)!r}, {carrier.obj_name(b)!r})",
-                    witness={"a": carrier.obj_name(a), "b": carrier.obj_name(b)})
-
-    # strict unit / associativity on objects first: the object table is the
-    # skeleton everything else is typed against.
-    for a in range(n):
-        if tob[(u, a)] != a or tob[(a, u)] != a:
-            raise UnitViolation(
-                f"tensor with unit is not the identity on {carrier.obj_name(a)!r}",
-                witness={"object": carrier.obj_name(a)})
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if tob[(tob[(a, b)], c)] != tob[(a, tob[(b, c)])]:
-                    raise AssociativityViolation(
-                        "object tensor is not strictly associative",
-                        witness={"a": carrier.obj_name(a), "b": carrier.obj_name(b),
-                                 "c": carrier.obj_name(c)})
-
-    for f in range(m):
-        for g in range(m):
-            if (f, g) not in tmor:
-                raise MissingComposite(
-                    f"tensor_mor missing ({carrier.mor_name(f)!r}, {carrier.mor_name(g)!r})",
-                    witness={"f": carrier.mor_name(f), "g": carrier.mor_name(g)})
-            fg = tmor[(f, g)]
-            if (carrier.dom(fg) != tob[(carrier.dom(f), carrier.dom(g))]
-                    or carrier.cod(fg) != tob[(carrier.cod(f), carrier.cod(g))]):
-                raise IllTypedComposite(
-                    f"tensor_mor({carrier.mor_name(f)!r}, {carrier.mor_name(g)!r}) "
-                    "has wrong dom/cod",
-                    witness={"f": carrier.mor_name(f), "g": carrier.mor_name(g)})
-
-    id_u = carrier.id_of(u)
-    for f in range(m):
-        if tmor[(id_u, f)] != f or tmor[(f, id_u)] != f:
-            raise UnitViolation(
-                f"tensor with id of unit is not the identity on {carrier.mor_name(f)!r}",
-                witness={"morphism": carrier.mor_name(f)})
-
-    for a in range(n):
-        for b in range(n):
-            if tmor[(carrier.id_of(a), carrier.id_of(b))] != carrier.id_of(tob[(a, b)]):
-                raise BifunctorialityViolation(
-                    "tensor of identities is not the identity",
-                    witness={"a": carrier.obj_name(a), "b": carrier.obj_name(b)})
-
-    pairs = list(carrier.composable_pairs())
-    for g, gp in pairs:
-        for f, fp in pairs:
-            lhs = tmor[(carrier.compose(g, gp), carrier.compose(f, fp))]
-            rhs = carrier.compose(tmor[(g, f)], tmor[(gp, fp)])
-            if lhs != rhs:
-                raise BifunctorialityViolation(
-                    "interchange law fails",
-                    witness={"g": carrier.mor_name(g), "g'": carrier.mor_name(gp),
-                             "f": carrier.mor_name(f), "f'": carrier.mor_name(fp)})
-
-    for f in range(m):
-        for g in range(m):
-            for h in range(m):
-                if tmor[(tmor[(f, g)], h)] != tmor[(f, tmor[(g, h)])]:
-                    raise AssociativityViolation(
-                        "morphism tensor is not strictly associative",
-                        witness={"f": carrier.mor_name(f), "g": carrier.mor_name(g),
-                                 "h": carrier.mor_name(h)})
-
-    return MonStr(carrier, u, tob, tmor, name=name)
+    M = MonStr(carrier, u, tob, tmor, name=name)
+    check_action(M, carrier, tob, tmor, _TENSOR_LAWS, two_sided=True)
+    return M
 
 
 def check_monoidal_probes(M: SkSetMonStr, max_card=3, mor_samples=8):

@@ -10,8 +10,6 @@ A left-tensored category is a category through its carrier
 the validators and the functor layer only use these.
 """
 
-import itertools
-
 from .errors import (
     BifunctorialityViolation,
     IllTypedComposite,
@@ -61,14 +59,45 @@ def base_as_module(base) -> TensorModule:
     return TensorModule(base)
 
 
+# Per law of an action: the error it raises, its message (formatted with
+# the witness names) and the witness keys.
+_MODULE_LAWS = {
+    "missing_ob": (MissingComposite, "act_ob missing ({!r}, {!r})", "m b"),
+    "unit_ob": (UnitActionViolation, "unit does not act as identity on {!r}", "object"),
+    "assoc_ob": (ModuleLawViolation, "module law fails on objects", "m n b"),
+    "missing_mor": (MissingComposite, "act_mor missing ({!r}, {!r})", "u h"),
+    "typing": (IllTypedComposite, "act_mor({!r}, {!r}) has wrong dom/cod", "u h"),
+    "unit_mor": (UnitActionViolation, "id of unit does not act as identity on {!r}",
+                 "morphism"),
+    "identity": (BifunctorialityViolation, "action of identities is not the identity", "m b"),
+    "interchange": (BifunctorialityViolation, "interchange law fails for the action",
+                    "u u' h h'"),
+    "assoc_mor": (ModuleLawViolation, "module law fails on morphisms", "u v h"),
+}
+
+
 def validate_module(base, carrier: FinCat, act_ob, act_mor, name="") -> TableModule:
-    """Exhaustive validation of a finite module.
+    """Exhaustive validation of a finite module (see ``check_action``)."""
+    aob = dict(act_ob)
+    amor = dict(act_mor)
+    check_action(base, carrier, aob, amor, _MODULE_LAWS)
+    return TableModule(base, carrier, aob, amor, name=name)
+
+
+def check_action(base, carrier, aob, amor, laws, two_sided=False):
+    """The strict action laws of base on carrier, checked on index tables.
+
+    ``laws`` maps each law to (error class, message, witness keys separated
+    by spaces).  With ``two_sided`` the unit must also act from the right,
+    a ⊗ I = a, in the same loop as from the left: the base acting on itself
+    (carrier = base.carrier, act = ⊗), whose laws are the strict monoidal
+    ones.
 
     Object-level laws are checked before morphism-level typing, so a
-    corrupted object cell is diagnosed as the module-law failure it is
-    rather than as collateral typing damage.  Then come the unit action on
+    corrupted object cell is diagnosed as the law failure it is rather
+    than as collateral typing damage.  Then come the unit action on
     morphisms, the action of identities, interchange and the module law on
-    morphisms.  The last two are decided per module, never per cell:
+    morphisms.  The last two are decided per action, never per cell:
 
     - over a thin carrier both hold by typing, as each pair of sides lies
       in one hom-set;
@@ -82,65 +111,53 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="") -> TableMod
     On a mismatch the full scan runs, so the witness is the first failing
     cell in the documented scan order.
     """
-    aob = dict(act_ob)
-    amor = dict(act_mor)
+    def fail(law, *names):
+        error, message, keys = laws[law]
+        raise error(message.format(*names), witness=dict(zip(keys.split(), names)))
+
     nb, mb = base.carrier.n_objects, base.carrier.n_morphisms
     nc, mc = carrier.n_objects, carrier.n_morphisms
 
     for m in range(nb):
         for b in range(nc):
             if (m, b) not in aob:
-                raise MissingComposite(
-                    f"act_ob missing ({base.obj_name(m)!r}, {carrier.obj_name(b)!r})",
-                    witness={"m": base.obj_name(m), "b": carrier.obj_name(b)})
+                fail("missing_ob", base.obj_name(m), carrier.obj_name(b))
 
     for b in range(nc):
-        if aob[(base.unit, b)] != b:
-            raise UnitActionViolation(
-                f"unit does not act as identity on {carrier.obj_name(b)!r}",
-                witness={"object": carrier.obj_name(b)})
+        if aob[(base.unit, b)] != b or (two_sided and aob[(b, base.unit)] != b):
+            fail("unit_ob", carrier.obj_name(b))
     for m in range(nb):
         for n_ in range(nb):
             for b in range(nc):
                 if aob[(m, aob[(n_, b)])] != aob[(base.tensor_ob(m, n_), b)]:
-                    raise ModuleLawViolation(
-                        "module law fails on objects",
-                        witness={"m": base.obj_name(m), "n": base.obj_name(n_),
-                                 "b": carrier.obj_name(b)})
+                    fail("assoc_ob", base.obj_name(m), base.obj_name(n_),
+                         carrier.obj_name(b))
 
     for u in range(mb):
         for h in range(mc):
             if (u, h) not in amor:
-                raise MissingComposite(
-                    f"act_mor missing ({base.mor_name(u)!r}, {carrier.mor_name(h)!r})",
-                    witness={"u": base.mor_name(u), "h": carrier.mor_name(h)})
+                fail("missing_mor", base.mor_name(u), carrier.mor_name(h))
             uh = amor[(u, h)]
             want_dom = aob[(base.dom(u), carrier.dom(h))]
             want_cod = aob[(base.cod(u), carrier.cod(h))]
             if carrier.dom(uh) != want_dom or carrier.cod(uh) != want_cod:
-                raise IllTypedComposite(
-                    f"act_mor({base.mor_name(u)!r}, {carrier.mor_name(h)!r}) "
-                    "has wrong dom/cod",
-                    witness={"u": base.mor_name(u), "h": carrier.mor_name(h)})
+                fail("typing", base.mor_name(u), carrier.mor_name(h))
 
+    id_unit = base.id_of(base.unit)
     for h in range(mc):
-        if amor[(base.id_of(base.unit), h)] != h:
-            raise UnitActionViolation(
-                f"id of unit does not act as identity on {carrier.mor_name(h)!r}",
-                witness={"morphism": carrier.mor_name(h)})
+        if amor[(id_unit, h)] != h or (two_sided and amor[(h, id_unit)] != h):
+            fail("unit_mor", carrier.mor_name(h))
 
     for m in range(nb):
         for b in range(nc):
             if amor[(base.id_of(m), carrier.id_of(b))] != carrier.id_of(aob[(m, b)]):
-                raise BifunctorialityViolation(
-                    "action of identities is not the identity",
-                    witness={"m": base.obj_name(m), "b": carrier.obj_name(b)})
+                fail("identity", base.obj_name(m), carrier.obj_name(b))
 
     # Interchange over (u, u') x (h, h') composable pairs, then the module
     # law on morphisms over (u, v, h), each compared one row at a time (per
     # base pair, over a list of carrier cells at once).  Over a thin carrier
     # both hold by typing; otherwise the generator rows decide, and only a
-    # failing module pays for the full scan that names the first failing
+    # failing action pays for the full scan that names the first failing
     # cell.  The typing check above makes every composite looked up exist.
     B = base.carrier
     if not carrier.thin:
@@ -174,10 +191,8 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="") -> TableMod
             for h, hp in carr_pairs:
                 if (amor[(B.compose(u, up), carrier.compose(h, hp))]
                         != carrier.compose(amor[(u, h)], amor[(up, hp)])):
-                    raise BifunctorialityViolation(
-                        "interchange law fails for the action",
-                        witness={"u": base.mor_name(u), "u'": base.mor_name(up),
-                                 "h": carrier.mor_name(h), "h'": carrier.mor_name(hp)})
+                    fail("interchange", base.mor_name(u), base.mor_name(up),
+                         carrier.mor_name(h), carrier.mor_name(hp))
 
         def module_row(u, v):
             return list(map(act[u].__getitem__, act[v])) == act[base.tensor_mor(u, v)]
@@ -189,41 +204,8 @@ def validate_module(base, carrier: FinCat, act_ob, act_mor, name="") -> TableMod
                         if not module_row(u, v))
             for h in range(mc):
                 if amor[(u, amor[(v, h)])] != amor[(base.tensor_mor(u, v), h)]:
-                    raise ModuleLawViolation(
-                        "module law fails on morphisms",
-                        witness={"u": base.mor_name(u), "v": base.mor_name(v),
-                                 "h": carrier.mor_name(h)})
-
-    return TableModule(base, carrier, aob, amor, name=name)
-
-
-def check_module_probes(mod, max_card=3):
-    """Probe validation for modules over the finite-sets base."""
-    from . import finset
-
-    obs = mod.base.probe_objects(max_card)
-    checked = 0
-    for m in obs:
-        for b in obs:
-            if mod.act_ob(mod.base.unit, b) != b:
-                raise UnitActionViolation("unit probe fails", witness={})
-            for n_ in obs:
-                if mod.act_ob(m, mod.act_ob(n_, b)) != mod.act_ob(mod.base.tensor_ob(m, n_), b):
-                    raise ModuleLawViolation("object probe fails", witness={})
-                checked += 1
-    mors = []
-    for a in obs[:3]:
-        for b in obs[:3]:
-            mors.extend(itertools.islice(finset.all_maps(a, b), 4))
-    for u in mors:
-        for v in mors:
-            for h in mors[:6]:
-                lhs = mod.act_mor(u, mod.act_mor(v, h))
-                rhs = mod.act_mor(mod.base.tensor_mor(u, v), h)
-                if lhs != rhs:
-                    raise ModuleLawViolation("morphism probe fails", witness={})
-                checked += 1
-    return checked
+                    fail("assoc_mor", base.mor_name(u), base.mor_name(v),
+                         carrier.mor_name(h))
 
 
 def hom_object(mod, x, y):
@@ -260,21 +242,3 @@ def _is_universal(mod, x, y, h, u):
             return False
     return True
 
-
-def check_hom_object_naturality(mod, x, y, h, u):
-    """Naturality of the representing bijection in m, over every base morphism.
-
-    This holds automatically from bifunctoriality of the action; the check
-    exists to catch broken action tables.
-    """
-    base = mod.base
-    id_x = mod.id_of(x)
-    for v in base.morphisms():
-        m, mp = base.dom(v), base.cod(v)
-        for t in base.hom(mp, h):
-            lhs = mod.compose(u, mod.act_mor(base.compose(t, v), id_x))
-            rhs = mod.compose(mod.compose(u, mod.act_mor(t, id_x)),
-                              mod.act_mor(v, id_x))
-            if lhs != rhs:
-                return False
-    return True

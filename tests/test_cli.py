@@ -375,6 +375,25 @@ def test_wcolim_weight_failure_is_a_record(tmp_path, capsys, mutate):
     assert verdicts["Wterm*Fswap"] != "pass" and verdicts["Wyb*Farr"] == "pass"
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw.update({"enrichkit-spec": True}),
+    lambda raw: raw.update({"enrichkit-spec": 1.0}),
+    lambda raw: raw["weights"]["Wterm"].update(values={"p": True, "q": True}),
+    lambda raw: raw["mfunctors"]["Fswap"]["phi"][0].__setitem__(2, [False, True]),
+], ids=["version-true", "version-float", "weight-values-true", "phi-booleans"])
+def test_json_booleans_and_floats_are_not_integers(tmp_path, capsys, mutate):
+    # True == 1 and 1.0 == 1 in Python, but a spec integer must be a JSON integer
+    raw = json.loads((SPECS / "wcolim_demo.json").read_text())
+    mutate(raw)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(SchemaViolation):
+        parse_spec(f)
+    assert main(["--spec", str(f), "--check", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_duplicate_enriched_object_names_fail_validation(tmp_path):
     # both names resolve to one object; the validator says so instead of
     # reporting a hom cell the spec declares as missing

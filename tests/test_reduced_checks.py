@@ -15,8 +15,10 @@ import random
 from enrichkit.corpus import (
     S3_ELEMENTS,
     boolean_chain_mcat,
+    c3_monoidal,
     c3_mult,
     idempotent_unit_instance,
+    s3_monoidal,
     s3_mult,
     z2_two_object_mcat,
 )
@@ -24,9 +26,12 @@ from enrichkit.enriched import mcat_from_fincat, validate_mcat
 from enrichkit.errors import (
     AssociativityViolation,
     BifunctorialityViolation,
+    IllTypedComposite,
+    MissingComposite,
     ModuleLawViolation,
     UnitActionViolation,
     UnitViolation,
+    ValidationError,
 )
 from enrichkit.fincat import loop_cat, monoid_cat, validate_fincat, walking_arrow
 from enrichkit.mfunctor import enumerate_mfun_et, mfun_et_laws, mfun_square_laws
@@ -35,6 +40,8 @@ from enrichkit.monoidal import (
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
+    opposite_monoidal,
+    validate_monoidal,
 )
 from enrichkit.presheaf import enumerate_presheaves, presheaf_laws, presheaf_square_laws
 from enrichkit.tensored import base_as_module, validate_module
@@ -169,6 +176,166 @@ def full_scan_module(base, carrier, aob, amor):
     return None
 
 
+def full_scan_monoidal(carrier, unit, tensor_ob, tensor_mor):
+    """(error, message, witness) of the first failure of strict monoidal
+    tables given by names, or None: unit and associativity on objects,
+    typing, the unit on morphisms, identities, interchange over every pair
+    of composable pairs and associativity over every triple of morphisms."""
+    oname, mname = carrier.obj_name, carrier.mor_name
+    u = carrier.obj(unit)
+    tob = {(carrier.obj(a), carrier.obj(b)): carrier.obj(ab) for a, b, ab in tensor_ob}
+    tmor = {(carrier.mor(f), carrier.mor(g)): carrier.mor(fg) for f, g, fg in tensor_mor}
+    n, m = carrier.n_objects, carrier.n_morphisms
+    for a in range(n):
+        for b in range(n):
+            if (a, b) not in tob:
+                return (MissingComposite, f"tensor_ob missing ({oname(a)!r}, {oname(b)!r})",
+                        {"a": oname(a), "b": oname(b)})
+    for a in range(n):
+        if tob[(u, a)] != a or tob[(a, u)] != a:
+            return (UnitViolation, f"tensor with unit is not the identity on {oname(a)!r}",
+                    {"object": oname(a)})
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if tob[(tob[(a, b)], c)] != tob[(a, tob[(b, c)])]:
+            return (AssociativityViolation, "object tensor is not strictly associative",
+                    {"a": oname(a), "b": oname(b), "c": oname(c)})
+    for f in range(m):
+        for g in range(m):
+            if (f, g) not in tmor:
+                return (MissingComposite, f"tensor_mor missing ({mname(f)!r}, {mname(g)!r})",
+                        {"f": mname(f), "g": mname(g)})
+            fg = tmor[(f, g)]
+            if (carrier.dom(fg) != tob[(carrier.dom(f), carrier.dom(g))]
+                    or carrier.cod(fg) != tob[(carrier.cod(f), carrier.cod(g))]):
+                return (IllTypedComposite,
+                        f"tensor_mor({mname(f)!r}, {mname(g)!r}) has wrong dom/cod",
+                        {"f": mname(f), "g": mname(g)})
+    id_u = carrier.id_of(u)
+    for f in range(m):
+        if tmor[(id_u, f)] != f or tmor[(f, id_u)] != f:
+            return (UnitViolation,
+                    f"tensor with id of unit is not the identity on {mname(f)!r}",
+                    {"morphism": mname(f)})
+    for a in range(n):
+        for b in range(n):
+            if tmor[(carrier.id_of(a), carrier.id_of(b))] != carrier.id_of(tob[(a, b)]):
+                return (BifunctorialityViolation, "tensor of identities is not the identity",
+                        {"a": oname(a), "b": oname(b)})
+    for g, gp in pairs(carrier):
+        for f, fp in pairs(carrier):
+            if (tmor[(carrier.compose(g, gp), carrier.compose(f, fp))]
+                    != carrier.compose(tmor[(g, f)], tmor[(gp, fp)])):
+                return (BifunctorialityViolation, "interchange law fails",
+                        {"g": mname(g), "g'": mname(gp), "f": mname(f), "f'": mname(fp)})
+    for f, g, h in itertools.product(range(m), repeat=3):
+        if tmor[(tmor[(f, g)], h)] != tmor[(f, tmor[(g, h)])]:
+            return (AssociativityViolation, "morphism tensor is not strictly associative",
+                    {"f": mname(f), "g": mname(g), "h": mname(h)})
+    return None
+
+
+def monoidal_outcome(carrier, unit, tensor_ob, tensor_mor):
+    try:
+        validate_monoidal(carrier, unit, tensor_ob, tensor_mor)
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def monoidal_tables(M):
+    """(carrier, unit, tensor_ob, tensor_mor) of M, by names."""
+    c = M.carrier
+    on, mn = c.obj_name, c.mor_name
+    return (c, on(M.unit),
+            [(on(a), on(b), on(M.tensor_ob(a, b))) for a in M.objects() for b in M.objects()],
+            [(mn(f), mn(g), mn(M.tensor_mor(f, g)))
+             for f in M.morphisms() for g in M.morphisms()])
+
+
+def random_discrete_monoid(rng, n):
+    """A discrete monoid on n elements with unit m0: uniform tables with a
+    forced unit row and column, rejected until associative."""
+    xs = range(n)
+    while True:
+        t = {(a, b): (b if a == 0 else a if b == 0 else rng.randrange(n))
+             for a in xs for b in xs}
+        if all(t[(t[(a, b)], c)] == t[(a, t[(b, c)])] for a in xs for b in xs for c in xs):
+            return discrete_monoid_monoidal(
+                [f"m{a}" for a in xs], {(f"m{a}", f"m{b}"): f"m{v}" for (a, b), v in t.items()},
+                "m0", name=f"random{n}")
+
+
+def product_monoidal(M, N):
+    """M × N with the componentwise composition, tensor and unit: a
+    non-thin base with a non-unit object that has a non-identity
+    endomorphism when M = loop_monoidal(k) and N = boolean_monoidal()."""
+    cm, cn = M.carrier, N.carrier
+
+    def ob(x, y):
+        return f"{cm.obj_name(x)},{cn.obj_name(y)}"
+
+    def mor(u, v):
+        return f"{cm.mor_name(u)},{cn.mor_name(v)}"
+
+    def mors(c):
+        return range(c.n_morphisms)
+
+    carrier = validate_fincat(
+        [ob(x, y) for x in M.objects() for y in N.objects()],
+        [(mor(u, v), ob(cm.dom(u), cn.dom(v)), ob(cm.cod(u), cn.cod(v)))
+         for u in mors(cm) for v in mors(cn)],
+        [(mor(g, h), mor(f, k), mor(cm.compose(g, f), cn.compose(h, k)))
+         for g, f in pairs(cm) for h, k in pairs(cn)], name=f"{M.name}x{N.name}")
+    return validate_monoidal(
+        carrier, ob(M.unit, N.unit),
+        [(ob(a, b), ob(c, d), ob(M.tensor_ob(a, c), N.tensor_ob(b, d)))
+         for a in M.objects() for b in N.objects() for c in M.objects() for d in N.objects()],
+        [(mor(u, v), mor(w, z), mor(M.tensor_mor(u, w), N.tensor_mor(v, z)))
+         for u in mors(cm) for v in mors(cn) for w in mors(cm) for z in mors(cn)])
+
+
+def monoidal_bases():
+    rng = random.Random(18)
+    return ([boolean_monoidal(), chain_meet_monoidal(3), chain_meet_monoidal(4)]
+            + [loop_monoidal(k) for k in (2, 3, 4)]
+            + [s3_monoidal(), c3_monoidal(), opposite_monoidal(s3_monoidal())]
+            + [random_discrete_monoid(rng, n) for n in (2, 3, 3, 4)]
+            + [product_monoidal(loop_monoidal(2), boolean_monoidal())])
+
+
+def tensor_mutations(carrier, unit, tensor_ob, tensor_mor):
+    """Every deleted cell, every changed cell of either table and every
+    other unit, as (table, index, value); value None deletes the cell."""
+    objs, mors = carrier.objects, carrier.mor_names
+    for table, rows, names in (("ob", tensor_ob, objs), ("mor", tensor_mor, mors)):
+        for i, row in enumerate(rows):
+            yield table, i, None
+            yield from ((table, i, v) for v in names if v != row[2])
+    yield from (("unit", None, v) for v in objs if v != unit)
+
+
+def typed(carrier, tensor_mor, mutations):
+    """The changes of tensor_mor cells to a morphism of the same type."""
+    def ends(name):
+        return carrier.dom(carrier.mor(name)), carrier.cod(carrier.mor(name))
+    return [(table, i, v) for table, i, v in mutations
+            if table == "mor" and v is not None and ends(v) == ends(tensor_mor[i][2])]
+
+
+def mutated(tables, mutations):
+    """The tables with each mutation applied in turn; a later one wins."""
+    carrier, unit, tensor_ob, tensor_mor = tables
+    given = {"ob": tensor_ob, "mor": tensor_mor}
+    rows = {"ob": list(tensor_ob), "mor": list(tensor_mor)}
+    for table, i, v in mutations:
+        if table == "unit":
+            unit = v
+        else:
+            rows[table][i] = None if v is None else given[table][i][:2] + (v,)
+    return (carrier, unit, [r for r in rows["ob"] if r is not None],
+            [r for r in rows["mor"] if r is not None])
+
+
 def module_tables(mod):
     B, C = mod.base.carrier, mod.carrier
     aob = {(m, b): mod.act_ob(m, b)
@@ -292,6 +459,44 @@ def test_reduced_module_checks_match_full_scan():
             kinds.add(want and want[0])
     assert kinds == {None, UnitActionViolation, BifunctorialityViolation,
                      ModuleLawViolation}
+
+
+def test_validate_monoidal_matches_the_full_scan():
+    # Every single mutation of 14 bases, and 300 seeded double mutations of
+    # each (half of them two typed changes of tensor_mor, which get past
+    # the typing check): the base acting on itself through check_action
+    # raises exactly what the exhaustive loops find first.
+    rng = random.Random(18)
+    kinds = set()
+    inputs = 0
+    for M in monoidal_bases():
+        tables = monoidal_tables(M)
+        assert monoidal_outcome(*tables) is None and full_scan_monoidal(*tables) is None
+        singles = list(tensor_mutations(*tables))
+        retyped = typed(tables[0], tables[3], singles)
+        pools = [singles, retyped if len(retyped) > 1 else singles]
+        doubles = [rng.sample(pools[k % 2], 2) for k in range(300)]
+        for mutations in [[s] for s in singles] + doubles:
+            case = mutated(tables, mutations)
+            want = full_scan_monoidal(*case)
+            assert monoidal_outcome(*case) == want, (M.name, mutations)
+            kinds.add(want and want[0])
+            inputs += 1
+    assert inputs > 5000
+    assert kinds == {None, MissingComposite, UnitViolation, AssociativityViolation,
+                     IllTypedComposite, BifunctorialityViolation}
+
+
+def test_right_unit_is_checked_with_the_left_one_per_object():
+    # chain3-meet with 0 ∧ 2 = 1 (the right unit fails at 0) and 2 ∧ 1 = 0
+    # (the left unit fails at 1): the first failing object is 0.
+    tables = monoidal_tables(chain_meet_monoidal(3))
+    tensor_ob = tables[2]
+    case = mutated(tables, [("ob", tensor_ob.index(("0", "2", "0")), "1"),
+                            ("ob", tensor_ob.index(("2", "1", "1")), "0")])
+    want = (UnitViolation, "tensor with unit is not the identity on '0'", {"object": "0"})
+    assert full_scan_monoidal(*case) == want
+    assert monoidal_outcome(*case) == want
 
 
 # --- thinness and generators -------------------------------------------------
