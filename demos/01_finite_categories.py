@@ -1,17 +1,12 @@
-"""Finite categories as explicit tables: validation, functor enumeration,
-natural isomorphism checking.
+"""Finite categories as explicit tables: validation and functor enumeration.
 
 Run:  python demos/01_finite_categories.py
 """
 
 from enrichkit.errors import AssociativityViolation
 from enrichkit.fincat import (
-    NatIso,
-    check_nat_iso,
     enumerate_functors,
-    fin_functor,
     monoid_cat,
-    parallel_pair,
     terminal_cat,
     walking_arrow,
 )
@@ -37,11 +32,3 @@ try:
 except AssociativityViolation as exc:
     print("caught:", exc)
     print("witness triple:", exc.witness)
-
-print("\n== naturality squares are checked one by one ==")
-pp = parallel_pair()
-fu = fin_functor(arrow, pp, (0, 1), (pp.mor("id_p"), pp.mor("id_q"), pp.mor("u")))
-fv = fin_functor(arrow, pp, (0, 1), (pp.mor("id_p"), pp.mor("id_q"), pp.mor("v")))
-verdict = check_nat_iso(NatIso(fu, fv, (pp.mor("id_p"), pp.mor("id_q"))))
-print("identity components between the two distinct functors:",
-      "valid" if verdict.ok else f"failing squares {verdict.failing_squares}")

@@ -11,8 +11,6 @@ from .errors import EnrichKitError
 from .fincat import (
     FinCat,
     FinFunctor,
-    NatIso,
-    check_nat_iso,
     enumerate_functors,
     validate_fincat,
 )

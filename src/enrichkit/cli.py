@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
-from . import finset
 from .caps import DEFAULT_CAPS, scaled
 from .corpus import CorpusSampler, terminal_weight
 from .enriched import mcat_from_fincat, slot_error, slot_type, validate_mcat
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .fincat import validate_fincat
 from .finset import SkMap, SkSet
-from .mfunctor import measure_unit_automatism, validate_mfun_et
+from .mfunctor import action_type, measure_unit_automatism, validate_mfun_et
 from .monoidal import (
     finset_coproduct_monoidal,
     finset_product_monoidal,
@@ -47,7 +46,7 @@ from .presheaf import (
     enumerate_presheaves,
     validate_presheaf,
 )
-from .tensored import base_as_module, validate_module
+from .tensored import RightTensorModule, base_as_module, validate_module
 from .wcolim import (
     FinSetModule,
     canonical_presentation,
@@ -367,8 +366,14 @@ def _cells(rows, what, letters, objects=None):
     return out
 
 
-def _mistyped_action(A, cell):
-    return TypeMismatch("action component has wrong dom/cod", witness=A.cell_names(cell))
+def _typed_actions(A, target, values, tables, contra):
+    """The finite-set action maps of a spec's tables {(x, y): table}, in
+    spec order, each typed by ``mfunctor.action_type``; a cell the spec
+    leaves out is left to the validator to name."""
+    return {xy: _table_map(*action_type(A, target, values, xy, contra), table,
+                           TypeMismatch("action component has wrong dom/cod",
+                                        witness=A.cell_names(xy)))
+            for xy, table in tables.items()}
 
 
 def _table_map(dom, cod, table, error):
@@ -453,11 +458,10 @@ class Builder:
     @_built("mfunctors")
     def mfunctor(self, decl, name):
         A = self.ingested(decl.source)
+        B = FinSetModule(self.caps)
         ob_map = [SkSet(decl.ob_map[x]) for x in range(A.n_objects)]
-        phi = {(x, y): _table_map(finset.product(A.hom(x, y), ob_map[x], self.caps),
-                                  ob_map[y], table, _mistyped_action(A, (x, y)))
-               for (x, y), table in _cells(decl.phi, "phi", "xy", A.objects).items()}
-        return validate_mfun_et(A, FinSetModule(self.caps), ob_map, phi, name=name)
+        phi = _typed_actions(A, B, ob_map, _cells(decl.phi, "phi", "xy", A.objects), False)
+        return validate_mfun_et(A, B, ob_map, phi, name=name)
 
     @_built("presheaves")
     def presheaf(self, decl, name):
@@ -472,9 +476,8 @@ class Builder:
     def weight(self, decl, name):
         A = self.ingested(decl.source)
         values = [SkSet(decl.values[x]) for x in range(A.n_objects)]
-        action = {(x, y): _table_map(finset.product(values[y], A.hom(x, y), self.caps),
-                                     values[x], table, _mistyped_action(A, (x, y)))
-                  for (x, y), table in _cells(decl.action, "action", "xy", A.objects).items()}
+        action = _typed_actions(A, RightTensorModule(A.base), values,
+                                _cells(decl.action, "action", "xy", A.objects), True)
         return validate_presheaf(A, values, action)
 
 
@@ -754,6 +757,10 @@ def main(argv=None):
                     help="stdout format")
     args = ap.parse_args(argv)
 
+    if args.max_size is not None and args.max_size < 0:
+        print(f"error: --max-size must be non-negative, got {args.max_size}",
+              file=sys.stderr)
+        return 2
     if args.check != "fuzz" and not args.spec:
         print("error: --spec is required for this check", file=sys.stderr)
         return 2

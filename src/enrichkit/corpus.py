@@ -8,16 +8,20 @@ instance that separates the compatibility square from the unit-action law.
 
 Random bases and enriched categories are rejection sampled from uniformly
 drawn type-correct tables.  Random presheaves and diagrams are drawn by
-randomized backtracking over the shared law tables (``presheaf_laws``,
-``mfun_et_laws``).  Every emitted structure passes its validator; attempts,
-acceptances and fallbacks are *reported*, never assumed.
+randomized backtracking over the one statement of the laws of a family of
+action maps (``mfunctor.action_laws``), read contravariantly into the base
+acting on itself from the right for a presheaf and covariantly into finite
+sets for a diagram; the terminal weight and the terminal diagram are the
+family with every value a point (``terminal_family``).  Every emitted
+structure passes its validator; attempts, acceptances and fallbacks are
+*reported*, never assumed.
 
 A draw is the first lawful assignment with each slot's candidates shuffled
 once.  The candidates of a slot are the lazy hom-set ``finset.Maps``: the
 draw shuffles its index order, then reads maps by index in that order, so
 it builds only the maps the search reaches.  The unit law comes first in
-both law tables it searches; it fixes the actions on the unit slots before
-any compatibility square is built.
+the law table it searches; it fixes the actions on the unit slots before
+any compatibility cell is built.
 """
 
 import itertools
@@ -38,16 +42,16 @@ from .fincat import (
     walking_arrow,
 )
 from .finset import SkMap, SkSet
-from .mfunctor import MFunET, mfun_et_cands, mfun_et_laws, validate_mfun_et
+from .mfunctor import MFunET, action_cands, action_laws, validate_mfun_et
 from .monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
     discrete_monoid_monoidal,
     loop_monoidal,
 )
-from .presheaf import Presheaf, presheaf_cands, presheaf_laws, validate_presheaf
+from .presheaf import Presheaf, validate_presheaf
 from .search import backtrack
-from .tensored import validate_module
+from .tensored import RightTensorModule, validate_module
 from .wcolim import FinSetModule
 
 
@@ -187,11 +191,16 @@ def swap_instance(caps: Caps = DEFAULT_CAPS):
 
 
 def terminal_weight(A: MCat) -> Presheaf:
-    """The weight with every value a singleton: each action is the one map
-    into a point."""
+    """The weight with every value a singleton (``terminal_family``)."""
+    return validate_presheaf(A, *terminal_family(A, RightTensorModule(A.base), True))
+
+
+def terminal_family(A: MCat, target, contra):
+    """(values, actions) of the family of action maps into ``target`` with
+    every value a singleton: each action is the one map into a point."""
     values = [SkSet(1)] * A.n_objects
-    action = {slot: maps[0] for slot, maps in presheaf_cands(A, values).items()}
-    return validate_presheaf(A, values, action)
+    cands = action_cands(A, target, values, contra)
+    return values, {slot: maps[0] for slot, maps in cands.items()}
 
 
 def shipped_yoneda_corpus():
@@ -321,51 +330,41 @@ class CorpusSampler:
 
     def random_presheaf(self, A: MCat):
         """Random presheaf; the terminal weight when no draw succeeds."""
-        def problem(values):
-            unit, compat = presheaf_laws(A, values)
-            return presheaf_cands(A, values), unit + compat
-
-        found = self._draw(A, problem, self.presheaf_stats)
+        found = self._draw(A, RightTensorModule(A.base), True, self.presheaf_stats)
         if found is None:
             return terminal_weight(A)
         return validate_presheaf(A, *found)
 
     def random_diagram(self, A: MCat) -> MFunET:
         """Random enriched-to-tensored functor into finite sets; when no
-        draw succeeds, the terminal diagram (each action the one map into a
-        point)."""
+        draw succeeds, the terminal diagram (``terminal_family``)."""
         B = FinSetModule(self.caps)
-
-        def problem(vals):
-            compat, unit = mfun_et_laws(A, B, vals)
-            return mfun_et_cands(A, B, vals), unit + compat
-
-        found = self._draw(A, problem, self.diagram_stats)
+        found = self._draw(A, B, False, self.diagram_stats)
         if found is not None:
             return validate_mfun_et(A, B, *found, name="random-diagram")
-        vals = [SkSet(1)] * A.n_objects
-        phi = {slot: maps[0] for slot, maps in mfun_et_cands(A, B, vals).items()}
-        return validate_mfun_et(A, B, vals, phi, name="terminal-diagram")
+        return validate_mfun_et(A, B, *terminal_family(A, B, False),
+                                name="terminal-diagram")
 
-    def _draw(self, A, problem, stats):
+    def _draw(self, A, target, contra, stats):
         """Up to 64 attempts: value cards drawn uniformly in 1..MAX_CARD,
-        then the first solution of problem(values) = (candidates per slot,
-        law table), each slot's candidates shuffled once, in slot order.
-        Returns (values, actions), or None after counting a fallback.
-        The shuffle permutes a slot's indices, which takes the same rng
-        calls as shuffling its maps (``random.shuffle`` reads only the
-        length)."""
+        then the first family of action maps into ``target`` passing the
+        unit and compatibility laws (``action_laws``), each slot's
+        candidates shuffled once, in slot order.  Returns (values,
+        actions), or None after counting a fallback.  The shuffle permutes
+        a slot's indices, which takes the same rng calls as shuffling its
+        maps (``random.shuffle`` reads only the length)."""
         for _ in range(64):
             stats.attempts += 1
             values = [SkSet(self.rng.randrange(1, MAX_CARD + 1))
                       for _ in range(A.n_objects)]
-            cands, laws = problem(values)
+            cands = action_cands(A, target, values, contra)
+            unit, compat = action_laws(A, target, values, contra)
             views = {}
             for slot, seq in cands.items():
                 order = list(range(len(seq)))
                 self.rng.shuffle(order)
                 views[slot] = _InOrder(seq, order)
-            actions = next(backtrack(views, laws), None)
+            actions = next(backtrack(views, unit + compat), None)
             if actions is not None:
                 stats.accepted += 1
                 return values, actions

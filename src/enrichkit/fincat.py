@@ -562,52 +562,6 @@ def enumerate_functors(source: FinCat, target: FinCat,
             for asg in backtrack(cands, laws)]
 
 
-@dataclass(frozen=True)
-class NatIso:
-    source: FinFunctor
-    target: FinFunctor
-    components: tuple
-
-
-@dataclass(frozen=True)
-class NatIsoVerdict:
-    ok: bool
-    noninvertible: tuple
-    failing_squares: tuple
-
-
-def check_nat_iso(t: NatIso) -> NatIsoVerdict:
-    """Componentwise invertibility plus every naturality square.
-
-    Failures are verdict content, never exceptions: the verdict lists each
-    non-invertible component and each failing square.
-    """
-    F, G = t.source, t.target
-    if F.source != G.source or F.target != G.target:
-        raise ShapeMismatch("the two functors must share source and target")
-    C, D = F.source, F.target
-    noninv = []
-    failing = []
-    for x in range(C.n_objects):
-        c = t.components[x]
-        if D.dom(c) != F.ob_map[x] or D.cod(c) != G.ob_map[x]:
-            noninv.append((C.obj_name(x), D.mor_name(c), "ill-typed"))
-            continue
-        if not D.is_iso(c):
-            noninv.append((C.obj_name(x), D.mor_name(c), "not invertible"))
-    for m in range(C.n_morphisms):
-        a, b = C.dom(m), C.cod(m)
-        ca, cb = t.components[a], t.components[b]
-        if (D.dom(ca) != F.ob_map[a] or D.cod(ca) != G.ob_map[a]
-                or D.dom(cb) != F.ob_map[b] or D.cod(cb) != G.ob_map[b]):
-            continue  # already reported as ill-typed
-        lhs = D.compose(cb, F.mor_map[m])
-        rhs = D.compose(G.mor_map[m], ca)
-        if lhs != rhs:
-            failing.append((C.mor_name(m), D.mor_name(lhs), D.mor_name(rhs)))
-    return NatIsoVerdict(not noninv and not failing, tuple(noninv), tuple(failing))
-
-
 # --- standard small categories used across the test corpus ----------------
 
 def terminal_cat() -> FinCat:

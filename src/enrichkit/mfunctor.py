@@ -9,6 +9,15 @@ map plus action maps act(hom(x,y), f(x)) -> f(y) whose compatibility square
 commutes for every object triple.  The unit-action law is enforced here and
 measured separately (see ``measure_unit_automatism``): in a strict finite
 model the compatibility square alone does not force it.
+
+Such a functor is a covariant family of action maps.  A presheaf is the
+contravariant family t[(x, y)]: values[y] ⊗ hom(x, y) -> values[x] into the
+base acting on itself from the right, a right action being a left action of
+the reversed base.  The slot types, the unit and compatibility laws, the
+morphism square and the enumeration's plan loop are stated once for both
+readings (``action_type``, ``action_laws``, ``action_square_laws``,
+``action_families``); the presheaf layer and the corpus sampler read them
+contravariantly.
 """
 
 from dataclasses import dataclass
@@ -143,8 +152,8 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
         raise ShapeMismatch("enriched source and tensored target disagree on the base")
     ob_map = tuple(ob_map)
     phi = dict(phi)
-    compat, unit = mfun_et_laws(source, target, ob_map)
-    check_family(target, mfun_et_slots(source, target, ob_map), phi, (
+    unit, compat = action_laws(source, target, ob_map, False)
+    check_family(target, action_slots(source, target, ob_map, False), phi, (
         (CompatibilityViolation, "compatibility square fails", compat),
         (UnitActionViolation, "unit action is not the identity", unit)),
         source.cell_names)
@@ -152,73 +161,16 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
 
 
 def mfun_et_laws(source, target, ob_map):
-    """The laws of an enriched-to-tensored functor with object map ``ob_map``
-    (Kelly 1982, §1.2): the compatibility square per (x, y, z), then the
-    unit action per x.  Returned as two law tables (compat, unit) over the
-    action slots (x, y); both are empty over a thin target, where the two
-    sides of each law share a hom-set once the actions are typed.  Cells
-    with an initial hom factor are discharged: the square is a pair of maps
-    out of act(hom(y, z) ⊗ hom(x, y), ob_map[x]), so it runs over
-    ``source.support_triples`` only.
-
-    The parts of a cell that do not depend on phi are computed at the point
-    of the law where the cell first needs them and then kept by the table:
-    a search pays for them once per cell, and a validator meets any error
-    they raise (``Overflow``) at the same cell and step as the law itself."""
-    if target.thin:
-        return [], []
-    base = source.base
-    xs = range(source.n_objects)
-
-    @cache
-    def ob_id(x):
-        return target.id_of(ob_map[x])
-
-    @cache
-    def hom_id(y, z):
-        return base.id_of(source.hom(y, z))
-
-    sides = {}  # per cell: act(comp(x, y, z), id) or act(unit(x), id)
-
-    def square(phi, cell):
-        x, y, z = cell
-        side = sides.get(cell)
-        if side is None:
-            side = sides[cell] = target.act_mor(source.comp(x, y, z), ob_id(x))
-        lhs = target.compose(phi[(x, z)], side)
-        rhs = target.compose(phi[(y, z)], target.act_mor(hom_id(y, z), phi[(x, y)]))
-        return lhs == rhs
-
-    def unit_law(phi, cell):
-        x, = cell
-        side = sides.get(cell)
-        if side is None:
-            side = sides[cell] = target.act_mor(source.unit(x), ob_id(x))
-        return target.compose(phi[(x, x)], side) == ob_id(x)
-
-    return ([(((x, y), (y, z), (x, z)), square, (x, y, z))
-             for x, y, z in source.support_triples],
-            [(((x, x),), unit_law, (x,)) for x in xs])
+    """The functor laws as two law tables (compat, unit): ``action_laws``
+    read covariantly."""
+    unit, compat = action_laws(source, target, ob_map, False)
+    return compat, unit
 
 
 def mfun_square_laws(f: MFunET, g: MFunET):
-    """The morphism square g(x,y) ∘ act(id, t_x) = t_y ∘ f(x,y) per (x, y),
-    as a law table over the component slots x; empty over a thin target.
-    The square is a pair of maps out of act(hom(x, y), f(x)), so it runs
-    over ``source.support`` only: cells with an initial hom factor are
-    discharged."""
-    source, target = f.source, f.target
-    if target.thin:
-        return []
-    base = source.base
-
-    def square(t, cell):
-        x, y = cell
-        lhs = target.compose(g.phi[cell],
-                             target.act_mor(base.id_of(source.hom(x, y)), t[x]))
-        return lhs == target.compose(t[y], f.phi[cell])
-
-    return [((x, y), square, (x, y)) for x, y in source.support]
+    """The morphism square per (x, y): ``action_square_laws`` read
+    covariantly."""
+    return action_square_laws(f.source, f.target, False)(f.phi, g.phi)
 
 
 def check_mfun_mor(f: MFunET, g: MFunET, components):
@@ -228,31 +180,129 @@ def check_mfun_mor(f: MFunET, g: MFunET, components):
 
 
 def mfun_et_slots(source, target, ob_map):
-    """(slot, (dom, cod)) per action slot (x, y), in slot order: the action
-    map act(hom(x,y), ob_map[x]) -> ob_map[y]."""
+    """``action_slots`` read covariantly."""
+    return action_slots(source, target, ob_map, False)
+
+
+# --- families of action maps: t[(x, y)]: act(hom(x, y), values[s]) -> values[e]
+# with (s, e) = (x, y), or (y, x) for a contravariant family (``contra``)
+
+def action_type(source, target, values, slot, contra):
+    """(dom, cod) of the action map in ``slot`` = (x, y):
+    act(hom(x, y), values[s]) -> values[e]."""
+    x, y = slot
+    s, e = (y, x) if contra else slot
+    return target.act_ob(source.hom(x, y), values[s]), values[e]
+
+
+def action_slots(source, target, values, contra):
+    """(slot, (dom, cod)) per action slot (x, y), in slot order."""
     xs = range(source.n_objects)
-    return (((x, y), (target.act_ob(source.hom(x, y), ob_map[x]), ob_map[y]))
+    return (((x, y), action_type(source, target, values, (x, y), contra))
             for x in xs for y in xs)
 
 
-def mfun_et_cands(source, target, ob_map):
+def action_cands(source, target, values, contra):
     """The type-correct action maps per slot, in slot order."""
     return {slot: target.hom(dom, cod)
-            for slot, (dom, cod) in mfun_et_slots(source, target, ob_map)}
+            for slot, (dom, cod) in action_slots(source, target, values, contra)}
 
 
-def _et_assignments(source, target, caps, check_unit):
-    """All (ob_map, phi, unit laws) with phi satisfying the compatibility
-    square, in lex order; the unit laws are enforced only when check_unit
-    is set, and returned either way.  They go first: the unit law fixes phi
-    on the unit slice before any square is built, and the solutions do not
-    depend on the order of the laws."""
-    for ob_map, cands in bounded_plans(
+def action_laws(source, target, values, contra):
+    """The laws of a family of action maps with value map ``values``
+    (Kelly 1982, §1.2): the unit action per x, then compatibility per
+    (x, y, z).  Returned as two law tables (unit, compat) over the action
+    slots (x, y); both are empty over a thin target, where the two sides of
+    each law share a hom-set once the actions are typed.  Cells with an
+    initial hom factor are discharged: compatibility is a pair of maps out
+    of act(hom(y, z) ⊗ hom(x, y), values[start]), so it runs over
+    ``source.support_triples`` only.
+
+    Compatibility compares t[(x, z)] ∘ act(comp(x, y, z), id) with the
+    chain of two actions out of values[start].  A covariant chain starts at
+    x and acts by hom(x, y) first; a contravariant one starts at z and acts
+    by hom(y, z) first, as a right action applies the right factor of
+    hom(y, z) ⊗ hom(x, y) last.
+
+    The parts of a cell that do not depend on the actions are computed at
+    the point of the law where the cell first needs them and then kept by
+    the table: a search pays for them once per cell, and a validator meets
+    any error they raise (``Overflow``) at the same cell and step as the law
+    itself."""
+    if target.thin:
+        return [], []
+    base = source.base
+    xs = range(source.n_objects)
+
+    @cache
+    def value_id(x):
+        return target.id_of(values[x])
+
+    kept = {}  # per cell, the parts that do not depend on the actions
+
+    def unit_law(t, cell):
+        x, = cell
+        side = kept.get(cell)
+        if side is None:
+            side = kept[cell] = target.act_mor(source.unit(x), value_id(x))
+        return target.compose(t[(x, x)], side) == value_id(x)
+
+    def compat_law(t, cell):
+        parts = kept.get(cell)
+        if parts is None:
+            x, y, z = cell
+            first, second, start = ((y, z), (x, y), z) if contra else ((x, y), (y, z), x)
+            side = target.act_mor(source.comp(x, y, z), value_id(start))
+            parts = kept[cell] = ((x, z), side, first, second,
+                                  base.id_of(source.hom(*second)))
+        xz, side, first, second, id_second = parts
+        return (target.compose(t[xz], side)
+                == target.compose(t[second], target.act_mor(id_second, t[first])))
+
+    return ([(((x, x),), unit_law, (x,)) for x in xs],
+            [(((x, y), (y, z), (x, z)), compat_law, (x, y, z))
+             for x, y, z in source.support_triples])
+
+
+def action_square_laws(source, target, contra):
+    """laws(f, g): the morphism square g[(x, y)] ∘ act(id, t[s]) = t[e] ∘
+    f[(x, y)] per (x, y) between the action maps f and g, as a law table
+    over the component slots x; empty over a thin target.  The square is a
+    pair of maps out of act(hom(x, y), values[s]), so it runs over
+    ``source.support`` only: cells with an initial hom factor are
+    discharged.  The ends and hom identities of the cells are found once,
+    for every pair of families."""
+    if target.thin:
+        return lambda f, g: []
+    base = source.base
+    parts = {(x, y): ((y, x) if contra else (x, y), base.id_of(source.hom(x, y)))
+             for x, y in source.support}
+
+    def laws(f, g):
+        def square(t, cell):
+            (s, e), id_hom = parts[cell]
+            return (target.compose(g[cell], target.act_mor(id_hom, t[s]))
+                    == target.compose(t[e], f[cell]))
+
+        return [(cell, square, cell) for cell in source.support]
+
+    return laws
+
+
+def action_families(source, target, contra, caps, check_unit):
+    """All (values, t, unit laws) with t satisfying compatibility, in lex
+    order of (value map, action choices): the plan loop of both
+    enumerations.  The unit laws are enforced only when check_unit is set,
+    and returned either way.  They go first: the unit law fixes t on the
+    unit slice before any compatibility cell is built, and the solutions do
+    not depend on the order of the laws."""
+    for values, cands in bounded_plans(
             range(target.carrier.n_objects), source.n_objects,
-            lambda ob_map: mfun_et_cands(source, target, ob_map), caps, "functor"):
-        compat, unit = mfun_et_laws(source, target, ob_map)
-        for phi in backtrack(cands, unit + compat if check_unit else compat):
-            yield ob_map, phi, unit
+            lambda values: action_cands(source, target, values, contra), caps,
+            "presheaf" if contra else "functor"):
+        unit, compat = action_laws(source, target, values, contra)
+        for t in backtrack(cands, unit + compat if check_unit else compat):
+            yield values, t, unit
 
 
 class MFunCategory:
@@ -277,11 +327,14 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
         raise SizeBound("enumeration needs a finite target carrier")
     functors = [
         MFunET(source, target, ob_map, phi, name=f"G{k}")
-        for k, (ob_map, phi, _) in enumerate(_et_assignments(source, target, caps, True))
+        for k, (ob_map, phi, _) in enumerate(
+            action_families(source, target, False, caps, True))
     ]
 
+    square_laws = action_square_laws(source, target, False)
     fincat, mors = family_category(
-        target.carrier, functors, lambda f: f.ob_map, mfun_square_laws,
+        target.carrier, functors, lambda f: f.ob_map,
+        lambda f, g: square_laws(f.phi, g.phi),
         "functor-morphism", "G", "t", "FunCat", caps)
     return MFunCategory(source, target, functors,
                         [MFunMor(i, j, comps) for i, j, comps in mors], fincat)
@@ -297,7 +350,7 @@ def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
     candidates = 0
     violations = 0
     witnesses = []
-    for ob_map, phi, unit in _et_assignments(source, target, caps, check_unit=False):
+    for ob_map, phi, unit in action_families(source, target, False, caps, False):
         candidates += 1
         cell = next(failures(unit, phi), None)
         if cell is not None:

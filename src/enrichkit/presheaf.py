@@ -8,13 +8,18 @@ the unfolded form is what the Yoneda maps and the colimit layer consume,
 and keeping it primary avoids double-op bookkeeping, which is the main
 foot-gun of the subject.
 
+The laws are not restated here.  The unfolded form is a contravariant
+family of action maps into the base acting on itself from the right,
+act(m, a) = a ⊗ m (``tensored.RightTensorModule``).  Its slot types, unit
+and compatibility laws, morphism square and enumeration loop are the ones
+``mfunctor`` states for functors, read with the ends of each slot swapped.
+
 Over a finite base the whole presheaf category is enumerated, returned as a
 validated FinCat together with its left-tensoring.  Over the finite-sets
 base presheaves stay structured values (see the colimit layer).
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -24,9 +29,16 @@ from .errors import (
     UnitActionViolation,
 )
 from .enriched import MCat
-from .mfunctor import MFunET, validate_mfun_et
-from .search import backtrack, bounded_plans, check_family, mor_failures
-from .tensored import base_as_module, validate_module
+from .mfunctor import (
+    MFunET,
+    action_families,
+    action_laws,
+    action_slots,
+    action_square_laws,
+    validate_mfun_et,
+)
+from .search import check_family, mor_failures
+from .tensored import RightTensorModule, base_as_module, validate_module
 from .fincat import family_category
 
 
@@ -64,11 +76,12 @@ class PresheafMor:
 
 
 def validate_presheaf(source: MCat, values, action) -> Presheaf:
-    """Typing, the compatibility law for all triples, and the unit action."""
+    """Typing, the unit action, and the compatibility law for all triples."""
     values = tuple(values)
     action = dict(action)
-    unit, compat = presheaf_laws(source, values)
-    check_family(source.base, presheaf_slots(source, values), action, (
+    target = RightTensorModule(source.base)
+    unit, compat = action_laws(source, target, values, True)
+    check_family(target, action_slots(source, target, values, True), action, (
         (UnitActionViolation, "presheaf unit action is not the identity", unit),
         (CompatibilityViolation, "presheaf compatibility fails", compat)),
         source.cell_names)
@@ -83,86 +96,21 @@ def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
 
 def presheaf_slots(source: MCat, values):
     """(slot, (dom, cod)) per action slot (x, y), in slot order: the action
-    map values[y] ⊗ hom(x,y) -> values[x]."""
-    base, xs = source.base, range(source.n_objects)
-    return (((x, y), (base.tensor_ob(values[y], source.hom(x, y)), values[x]))
-            for x in xs for y in xs)
-
-
-def presheaf_cands(source: MCat, values):
-    """The type-correct action maps per slot, in slot order."""
-    return {slot: source.base.hom(dom, cod)
-            for slot, (dom, cod) in presheaf_slots(source, values)}
+    map values[y] ⊗ hom(x,y) -> values[x] (``action_slots``)."""
+    return action_slots(source, RightTensorModule(source.base), values, True)
 
 
 def presheaf_laws(source: MCat, values):
-    """The presheaf laws for the value map ``values`` (Kelly 1982, §1.2):
-    the unit action per x, then compatibility per (x, y, z).  Returned as
-    two law tables (unit, compat) over the action slots (x, y); both are
-    empty over a thin base, where the two sides of each law share a hom-set
-    once the actions are typed.  Cells with an initial hom factor are
-    discharged: compatibility is a pair of maps out of
-    values[z] ⊗ hom(y, z) ⊗ hom(x, y), so it runs over
-    ``source.support_triples`` only.
-
-    The parts of a cell that do not depend on the actions are computed at
-    the point of the law where the cell first needs them and then kept by
-    the table: a search pays for them once per cell, and a validator meets
-    any error they raise (``Overflow``) at the same cell and step as the law
-    itself."""
-    base = source.base
-    if base.thin:
-        return [], []
-    xs = range(source.n_objects)
-
-    @cache
-    def value_id(x):
-        return base.id_of(values[x])
-
-    @cache
-    def hom_id(x, y):
-        return base.id_of(source.hom(x, y))
-
-    sides = {}  # per cell: id ⊗ unit(x) or id ⊗ comp(x, y, z)
-
-    def unit_law(act, cell):
-        x, = cell
-        side = sides.get(cell)
-        if side is None:
-            side = sides[cell] = base.tensor_mor(value_id(x), source.unit(x))
-        return base.compose(act[(x, x)], side) == value_id(x)
-
-    def compat_law(act, cell):
-        x, y, z = cell
-        c1 = base.compose(act[(x, y)], base.tensor_mor(act[(y, z)], hom_id(x, y)))
-        side = sides.get(cell)
-        if side is None:
-            side = sides[cell] = base.tensor_mor(value_id(z), source.comp(x, y, z))
-        return c1 == base.compose(act[(x, z)], side)
-
-    return ([(((x, x),), unit_law, (x,)) for x in xs],
-            [(((x, y), (y, z), (x, z)), compat_law, (x, y, z))
-             for x, y, z in source.support_triples])
+    """The presheaf laws as two law tables (unit, compat): ``action_laws``
+    read contravariantly."""
+    return action_laws(source, RightTensorModule(source.base), values, True)
 
 
 def presheaf_square_laws(f: Presheaf, g: Presheaf):
-    """The morphism square g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) per (x, y), as
-    a law table over the component slots x; empty over a thin base.  The
-    square is a pair of maps out of f(y) ⊗ hom(x, y), so it runs over
-    ``source.support`` only: cells with an initial hom factor are
-    discharged."""
-    source = f.source
-    base = source.base
-    if base.thin:
-        return []
-
-    def square(t, cell):
-        x, y = cell
-        lhs = base.compose(g.action[cell],
-                           base.tensor_mor(t[y], base.id_of(source.hom(x, y))))
-        return lhs == base.compose(t[x], f.action[cell])
-
-    return [((x, y), square, (x, y)) for x, y in source.support]
+    """The morphism square g(x,y) ∘ (t_y ⊗ id) = t_x ∘ f(x,y) per (x, y):
+    ``action_square_laws`` read contravariantly."""
+    square_laws = action_square_laws(f.source, RightTensorModule(f.source.base), True)
+    return square_laws(f.action, g.action)
 
 
 def tensor_presheaf(m, f: Presheaf) -> Presheaf:
@@ -245,16 +193,13 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
     base = source.base
     if not base.is_finite:
         raise SizeBound("presheaf enumeration needs a finite base")
-    presheaves = []
-    for values, cands in bounded_plans(base.objects(), source.n_objects,
-                                       lambda values: presheaf_cands(source, values),
-                                       caps, "presheaf"):
-        unit, compat = presheaf_laws(source, values)
-        for action in backtrack(cands, unit + compat):
-            presheaves.append(Presheaf(source, values, action))
-
+    target = RightTensorModule(base)
+    presheaves = [Presheaf(source, values, action) for values, action, _
+                  in action_families(source, target, True, caps, True)]
+    square_laws = action_square_laws(source, target, True)
     fincat, family = family_category(
-        base.carrier, presheaves, lambda p: p.values, presheaf_square_laws,
+        base.carrier, presheaves, lambda p: p.values,
+        lambda f, g: square_laws(f.action, g.action),
         "presheaf-morphism", "F", "p", f"P({source.name})", caps)
     return PresheafCategory(source, presheaves, family, fincat)
 

@@ -59,6 +59,20 @@ def base_as_module(base) -> TensorModule:
     return TensorModule(base)
 
 
+class RightTensorModule:
+    """The base acting on itself from the right, act(m, a) = a ⊗ m: a left
+    action of the reversed base (Kelly 1982, §1.2; Janelidze and Kelly,
+    TAC 9, 2001).  A presheaf is a contravariant family of action maps
+    into it (``mfunctor.action_laws``)."""
+
+    def __init__(self, base):
+        self.base = base
+        bind_carrier(self, base.carrier)
+        tensor_ob, tensor_mor = base.tensor_ob, base.tensor_mor
+        self.act_ob = lambda m, a: tensor_ob(a, m)
+        self.act_mor = lambda u, h: tensor_mor(h, u)
+
+
 # Per law of an action: the error it raises, its message (formatted with
 # the witness names) and the witness keys.
 _MODULE_LAWS = {

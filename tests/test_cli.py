@@ -644,3 +644,14 @@ def test_unit_over_the_coproduct_base_is_typed_from_its_unit(tmp_path, unit, wit
     f.write_text(json.dumps(raw))
     record = run("validate", parse_spec(f)).records[-1]
     assert (record.check, record.witnesses) == ("validate.enriched", witnesses)
+
+
+@pytest.mark.parametrize("check", ["validate", "yoneda", "fuzz"])
+def test_negative_max_size_exits_2_before_the_spec_is_read(tmp_path, capsys, check):
+    # the spec does not exist, so only a check made before reading it can
+    # name --max-size
+    args = ["--check", check, "--max-size", "-5", "--spec", str(tmp_path / "none.json")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-size") and captured.err.count("\n") == 1

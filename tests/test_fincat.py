@@ -12,14 +12,11 @@ from enrichkit.errors import (
     UnitViolation,
 )
 from enrichkit.fincat import (
-    NatIso,
     chain_cat,
-    check_nat_iso,
     compose_functors,
     discrete_cat,
     enumerate_functors,
     family_category,
-    fin_functor,
     loop_cat,
     monoid_cat,
     parallel_pair,
@@ -166,38 +163,6 @@ def test_functor_closure_under_composition():
             for g in de:
                 gf = compose_functors(g, f)
                 assert (gf.ob_map, gf.mor_map) in keys
-
-
-def test_nat_iso_identity_is_valid():
-    w = walking_arrow()
-    for f in enumerate_functors(w, w):
-        t = NatIso(f, f, tuple(w.id_of(f.ob_map[x]) for x in range(w.n_objects)))
-        assert check_nat_iso(t).ok
-
-
-def test_nat_iso_failing_square_reported():
-    # two functors arrow -> parallel pair differing on the arrow only;
-    # identity components cannot be natural
-    w, pp = walking_arrow(), parallel_pair()
-    fu = fin_functor(w, pp, (0, 1), (pp.mor("id_p"), pp.mor("id_q"), pp.mor("u")))
-    fv = fin_functor(w, pp, (0, 1), (pp.mor("id_p"), pp.mor("id_q"), pp.mor("v")))
-    t = NatIso(fu, fv, (pp.mor("id_p"), pp.mor("id_q")))
-    verdict = check_nat_iso(t)
-    assert not verdict.ok
-    assert verdict.failing_squares == (("u", "u", "v"),)
-    assert verdict.noninvertible == ()
-
-
-def test_nat_iso_noninvertible_component_reported():
-    # target has an idempotent non-invertible endomorphism z
-    idem = monoid_cat(["e", "z"], {("e", "e"): "e", ("e", "z"): "z",
-                                   ("z", "e"): "z", ("z", "z"): "z"})
-    t = terminal_cat()
-    f = fin_functor(t, idem, (0,), (idem.mor("e"),))
-    nat = NatIso(f, f, (idem.mor("z"),))
-    verdict = check_nat_iso(nat)
-    assert not verdict.ok
-    assert verdict.noninvertible == (("*", "z", "not invertible"),)
 
 
 def test_loop_cat_is_cyclic_monoid():

@@ -10,21 +10,28 @@ from enrichkit.corpus import (
     s3_two_object_mcat,
     z2_two_object_mcat,
 )
-from enrichkit.enriched import opposite_mcat, validate_mcat
+from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import InternalError
-from enrichkit.mfunctor import validate_mfun_et
+from enrichkit.fincat import chain_cat, loop_cat, parallel_pair, walking_arrow
+from enrichkit.mfunctor import MFunET, mfun_et_laws, mfun_square_laws, validate_mfun_et
 from enrichkit.monoidal import boolean_monoidal
 from enrichkit.presheaf import (
+    Presheaf,
     check_fully_faithful,
     check_yoneda_lemma,
     enumerate_presheaves,
     mfun_et_to_presheaf,
+    presheaf_laws,
+    presheaf_square_laws,
     presheaf_to_mfun_et,
     tensor_presheaf,
     validate_presheaf,
     yoneda,
     yoneda_presheaf,
 )
+from enrichkit.search import failures
+from enrichkit.tensored import base_as_module
+from tests.test_support import codiscrete, presheaves
 
 
 def bool_names(A, p):
@@ -274,3 +281,61 @@ def test_tensor_presheaf_passes_invariants():
             for p in pscat.presheaves:
                 q = tensor_presheaf(m, p)
                 assert validate_presheaf(A, q.values, q.action) == q
+
+
+# --- the presheaf reading and the functor reading of the laws ---------------
+
+def non_thin_sources():
+    """(A, presheaves): finite-set-enriched categories (the product is not
+    symmetric on the nose) with the representables, the terminal weight and
+    seeded random draws; categories over loop bases with their complete
+    enumeration."""
+    over_sets = [mcat_from_fincat(c) for c in
+                 (walking_arrow(), parallel_pair(), chain_cat(3), loop_cat(3))]
+    over_loops = [z2_two_object_mcat(), codiscrete(3, 2)]
+    return ([(A, presheaves(A)) for A in over_sets]
+            + [(A, enumerate_presheaves(A).presheaves) for A in over_loops])
+
+
+def test_presheaf_laws_fail_the_cells_the_op_functor_laws_fail():
+    # every single-cell change of every action within its hom-set, read as a
+    # presheaf on A and as a functor on op(A) into the opposite base acting
+    # on itself (phi as presheaf_to_mfun_et translates it): (x, y, z) fails
+    # in one reading iff (z, y, x) fails in the other, and (x, y) iff (y, x);
+    # the morphism squares are compared from the presheaf to its change and
+    # on every single-component change of its identity
+    seen = {"unit": 0, "compat": 0, "square": 0}
+    for A, ps in non_thin_sources():
+        Aop = opposite_mcat(A)
+        T = base_as_module(Aop.base)
+        base, n = A.base, A.n_objects
+
+        def op(f):
+            return MFunET(Aop, T, f.values, {(u, v): f.action[(v, u)]
+                                             for u in range(n) for v in range(n)})
+
+        def squares_agree(f, g, opf, opg, t):
+            cells = set(failures(presheaf_square_laws(f, g), t))
+            assert cells == {c[::-1] for c in failures(mfun_square_laws(opf, opg), t)}
+            seen["square"] += bool(cells)
+
+        for p in ps:
+            unit, compat = presheaf_laws(A, p.values)
+            op_compat, op_unit = mfun_et_laws(Aop, T, p.values)
+            ids = tuple(base.id_of(v) for v in p.values)
+            opp = op(p)
+            for x, v in enumerate(p.values):
+                for c in base.hom(v, v):
+                    squares_agree(p, p, opp, opp, ids[:x] + (c,) + ids[x + 1:])
+            for slot, a in p.action.items():
+                for other in base.hom(base.dom(a), base.cod(a)):
+                    q = Presheaf(A, p.values, {**p.action, slot: other})
+                    opq = op(q)
+                    cells = set(failures(unit, q.action))
+                    assert cells == set(failures(op_unit, opq.phi))
+                    seen["unit"] += bool(cells)
+                    cells = set(failures(compat, q.action))
+                    assert cells == {c[::-1] for c in failures(op_compat, opq.phi)}
+                    seen["compat"] += bool(cells)
+                    squares_agree(p, q, opp, opq, ids)
+    assert all(seen.values()), seen
