@@ -136,7 +136,9 @@ class FinCat:
         of earlier members of S and identities.  Every morphism is such a
         composite of S and the identities."""
         if self._generators is None:
-            self._generators = _generators(self)
+            self._generators = greedy_generators(
+                self.n_objects, self.mor_dom, self.mor_cod, self.identity,
+                self._rows, self._pos, range(self.n_morphisms))
         return self._generators
 
     def composable_pairs(self):
@@ -377,19 +379,22 @@ def _assoc_failures(cat, middles):
                 yield into[cat.mor_dom[g]][k], g, h
 
 
-def _generators(cat):
-    """Greedy generating set in index order (see ``FinCat.generators``).
-    The reached set starts at the identities and is closed under s∘x for s
-    in S; each (s, x) pair is composed once, so the cost is O(|S|·M)."""
-    rows, pos, mor_dom, mor_cod = cat._rows, cat._pos, cat.mor_dom, cat.mor_cod
+def greedy_generators(n_objects, mor_dom, mor_cod, identities, rows, pos, order):
+    """The generators chosen greedily in ``order``: a morphism joins S when
+    it is not yet a right-nested composite of earlier members of S and the
+    identities.  s∘x is read as rows[s][pos[x]], as ``FinCat.compose``
+    does.  The reached set starts at the identities and is closed under
+    s∘x for s in S; each (s, x) pair is composed once, so the cost is
+    O(|S|·M).  A morphism that is no composite of two non-identities is
+    never reached, so it joins S wherever ``order`` puts it."""
     reached = [False] * len(mor_dom)
-    into = [[] for _ in range(cat.n_objects)]   # reached morphisms by codomain
-    out = [[] for _ in range(cat.n_objects)]    # generators by domain
-    for i in cat.identity:
+    into = [[] for _ in range(n_objects)]   # reached morphisms by codomain
+    out = [[] for _ in range(n_objects)]    # generators by domain
+    for i in identities:
         reached[i] = True
         into[mor_cod[i]].append(i)
     gens = []
-    for m in range(len(mor_dom)):
+    for m in order:
         if reached[m]:
             continue
         gens.append(m)

@@ -17,7 +17,10 @@ the reversed base.  The slot types, the unit and compatibility laws, the
 morphism square and the enumeration's plan loop are stated once for both
 readings (``action_type``, ``action_laws``, ``action_square_laws``,
 ``action_families``); the presheaf layer and the corpus sampler read them
-contravariantly.
+contravariantly.  Over a pointwise base the validators first scan the
+generator slice of these tables (rule C, ``enriched.MCat``:
+``generator_laws``, ``generator_squares``) and the full tables only when
+the slice fails; the tables and the searches keep every support cell.
 """
 
 from dataclasses import dataclass
@@ -156,7 +159,7 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
     check_family(target, action_slots(source, target, ob_map, False), phi, (
         (CompatibilityViolation, "compatibility square fails", compat),
         (UnitActionViolation, "unit action is not the identity", unit)),
-        source.cell_names)
+        source.cell_names, generator_laws(source, unit, compat))
     return MFunET(source, target, ob_map, phi, name=name)
 
 
@@ -175,8 +178,9 @@ def mfun_square_laws(f: MFunET, g: MFunET):
 
 def check_mfun_mor(f: MFunET, g: MFunET, components):
     """Witness list for the morphism square; empty means valid."""
-    return mor_failures(f.source, f.target, f.ob_map, g.ob_map,
-                        mfun_square_laws(f, g), components)
+    laws = mfun_square_laws(f, g)
+    return mor_failures(f.source, f.target, f.ob_map, g.ob_map, laws, components,
+                        generator_squares(f.source, laws))
 
 
 def mfun_et_slots(source, target, ob_map):
@@ -289,15 +293,41 @@ def action_square_laws(source, target, contra):
     return laws
 
 
-def action_families(source, target, contra, caps, check_unit):
+def generator_laws(source, unit, compat):
+    """Rule C (``enriched.MCat``) for a validator: the unit cells and the
+    compatibility cells (x, y, z) whose hom(y, z) meets the generators,
+    which hold only if every cell does; None where the rule does not
+    apply.  A check without the unit cells must not use it."""
+    pairs = source.generator_pairs()
+    if pairs is None:
+        return None
+    return unit + [law for law in compat if law[2][1:] in pairs]
+
+
+def generator_squares(source, squares):
+    """Rule C for a morphism square between two validated families: the
+    cells (x, y) whose hom(x, y) meets the generators; None where the rule
+    does not apply."""
+    pairs = source.generator_pairs()
+    if pairs is None:
+        return None
+    return [law for law in squares if law[2] in pairs]
+
+
+def action_families(source, target, contra, caps, check_unit, value_objects=None):
     """All (values, t, unit laws) with t satisfying compatibility, in lex
     order of (value map, action choices): the plan loop of both
-    enumerations.  The unit laws are enforced only when check_unit is set,
-    and returned either way.  They go first: the unit law fixes t on the
-    unit slice before any compatibility cell is built, and the solutions do
-    not depend on the order of the laws."""
+    enumerations.  The values range over ``value_objects``, by default
+    every object of the target's finite carrier.  The unit laws are
+    enforced only when check_unit is set, and returned either way.  They
+    go first: the unit law fixes t on the unit slice before any
+    compatibility cell is built, and the solutions do not depend on the
+    order of the laws.  Every compatibility cell is searched: rule C needs
+    the unit cells."""
+    if value_objects is None:
+        value_objects = range(target.carrier.n_objects)
     for values, cands in bounded_plans(
-            range(target.carrier.n_objects), source.n_objects,
+            value_objects, source.n_objects,
             lambda values: action_cands(source, target, values, contra), caps,
             "presheaf" if contra else "functor"):
         unit, compat = action_laws(source, target, values, contra)
@@ -340,17 +370,22 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
                         [MFunMor(i, j, comps) for i, j, comps in mors], fincat)
 
 
-def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
+def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS,
+                            value_objects=None):
     """Experiment for the open question on automatic unit constraints.
 
-    Enumerates all (ob_map, phi) satisfying only the compatibility square
-    and counts how many violate the unit-action law.  Returns
-    (candidates, violations, witnesses).
+    Enumerates all (ob_map, phi) satisfying only the compatibility square,
+    with ob_map ranging over ``value_objects`` (by default every object of
+    the target's finite carrier), and counts how many violate the
+    unit-action law.  Returns (candidates, violations, witnesses).  The
+    search has no unit cells, so it keeps every compatibility cell: rule C
+    (``enriched.MCat``) would admit more candidates without them.
     """
     candidates = 0
     violations = 0
     witnesses = []
-    for ob_map, phi, unit in action_families(source, target, False, caps, False):
+    for ob_map, phi, unit in action_families(source, target, False, caps, False,
+                                              value_objects):
         candidates += 1
         cell = next(failures(unit, phi), None)
         if cell is not None:

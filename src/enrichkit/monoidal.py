@@ -9,10 +9,10 @@ one action-law check, ``tensored.check_action``.  The opposite structure
 swaps the tensor arguments and is an involution on the nose.
 
 Both backends are categories through their carrier (``bind_carrier``) and
-add ``unit``, ``tensor_ob``, ``tensor_mor`` and ``is_null``; the finite one
-also lists ``objects()`` and ``morphisms()``.  Downstream code only calls
-these, so enriched categories, modules and presheaves work identically over
-finite tables and over skeletal finite sets.
+add ``unit``, ``tensor_ob``, ``tensor_mor``, ``is_null`` and ``pointwise``;
+the finite one also lists ``objects()`` and ``morphisms()``.  Downstream
+code only calls these, so enriched categories, modules and presheaves work
+identically over finite tables and over skeletal finite sets.
 """
 
 import itertools
@@ -36,6 +36,7 @@ class MonStr:
     """Table-backed strict monoidal structure on a finite carrier."""
 
     is_finite = True
+    pointwise = False  # see SkSetMonStr.pointwise
 
     def __init__(self, carrier: FinCat, unit, tensor_ob_table, tensor_mor_table, name=""):
         bind_carrier(self, carrier)
@@ -100,6 +101,11 @@ class SkSetMonStr:
         bind_carrier(self, SkSetCat(caps))
         self.unit = SkSet(1) if kind == "product" else SkSet(0)
         self.name = f"finset-{kind}" + ("-op" if flipped else "")
+        # Under the product a map out of a ⊗ b, or out of an action of a on
+        # a module over this base, is determined by its restrictions along
+        # the tensors of points 1 -> a and 1 -> b: the unit is the point and
+        # the tensor preserves sums.  Rule C (``MCat.generators``) needs it.
+        self.pointwise = kind == "product"
 
     def tensor_ob(self, a, b):
         # |a×b| = |b×a| and |a+b| = |b+a|: flipping changes only tensor_mor

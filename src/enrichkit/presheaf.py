@@ -35,6 +35,8 @@ from .mfunctor import (
     action_laws,
     action_slots,
     action_square_laws,
+    generator_laws,
+    generator_squares,
     validate_mfun_et,
 )
 from .search import check_family, mor_failures
@@ -84,14 +86,15 @@ def validate_presheaf(source: MCat, values, action) -> Presheaf:
     check_family(target, action_slots(source, target, values, True), action, (
         (UnitActionViolation, "presheaf unit action is not the identity", unit),
         (CompatibilityViolation, "presheaf compatibility fails", compat)),
-        source.cell_names)
+        source.cell_names, generator_laws(source, unit, compat))
     return Presheaf(source, values, action)
 
 
 def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
     """Witness list for the morphism square; empty means valid."""
-    return mor_failures(f.source, f.source.base, f.values, g.values,
-                        presheaf_square_laws(f, g), components)
+    laws = presheaf_square_laws(f, g)
+    return mor_failures(f.source, f.source.base, f.values, g.values, laws, components,
+                        generator_squares(f.source, laws))
 
 
 def presheaf_slots(source: MCat, values):

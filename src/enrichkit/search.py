@@ -11,7 +11,7 @@ one fixed assignment (``failures``, ``check_family``, ``mor_failures``).
 
 import itertools
 
-from .errors import SizeBound, TypeMismatch
+from .errors import EnrichKitError, SizeBound, TypeMismatch
 
 
 def search_space(cands):
@@ -66,10 +66,13 @@ def failures(laws, assignment):
     return (cell for _, holds, cell in laws if not holds(assignment, cell))
 
 
-def check_family(cat, slots, maps, groups, names):
+def check_family(cat, slots, maps, groups, names, pruned=None):
     """Raise on the first slot of ``slots`` = [(slot, (dom, cod))] whose map
     is missing or mistyped, then on the first failing cell of each
-    (error, message, laws) group in turn; ``names`` names the witness."""
+    (error, message, laws) group in turn; ``names`` names the witness.
+    ``pruned`` (rule C, see ``enriched.MCat``), when given, is a law table
+    whose holding implies every group's: it is scanned first, and the
+    groups only when it fails, so the error is always the full scan's."""
     for slot, (dom, cod) in slots:
         a = maps.get(slot)
         if a is None:
@@ -77,20 +80,35 @@ def check_family(cat, slots, maps, groups, names):
         if cat.dom(a) != dom or cat.cod(a) != cod:
             raise TypeMismatch("action component has wrong dom/cod",
                                witness=names(slot))
+    if pruned is not None and all_hold(pruned, maps):
+        return
     for error, message, laws in groups:
         for cell in failures(laws, maps):
             raise error(message, witness=names(cell))
 
 
-def mor_failures(source, cat, src_values, tgt_values, laws, components):
+def mor_failures(source, cat, src_values, tgt_values, laws, components, pruned=None):
     """Witness list for ``cat`` components src_values[x] -> tgt_values[x]:
-    the ill-typed ones, or else the failing cells of ``laws``; empty = valid."""
+    the ill-typed ones, or else the failing cells of ``laws``; empty = valid.
+    ``pruned``, when given, is scanned first as in ``check_family``."""
     ill_typed = [{"x": source.obj_name(x), "kind": "ill-typed"}
                  for x in range(source.n_objects)
                  if (cat.dom(components[x]) != src_values[x]
                      or cat.cod(components[x]) != tgt_values[x])]
-    return ill_typed or [{**source.cell_names(cell), "kind": "square"}
-                         for cell in failures(laws, components)]
+    if ill_typed or (pruned is not None and all_hold(pruned, components)):
+        return ill_typed
+    return [{**source.cell_names(cell), "kind": "square"}
+            for cell in failures(laws, components)]
+
+
+def all_hold(laws, assignment):
+    """Whether a complete assignment satisfies every law of ``laws``; False
+    also when evaluating one raises (``Overflow``), so that a full scan
+    after it meets that error at its own cell."""
+    try:
+        return next(failures(laws, assignment), None) is None
+    except EnrichKitError:
+        return False
 
 
 def bounded_plans(values, n, cands_for, caps, what):

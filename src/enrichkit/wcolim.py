@@ -10,6 +10,15 @@ object is initial (``is_null``; the tensor preserves colimits, Kelly 1982,
 the same reason ``res`` gives such a pair the map out of the initial
 object instead of going through the tensor comparison.
 
+Over a pointwise base (rule C, ``enriched.MCat``) the sum runs over the
+generator pairs only, the pairs whose hom meets the generators S.  An
+element h = s∘h' with s in S relates (W(h)(w), a) to (w, F(h)(a)) through
+(W(s)(w), F(h')(a)), by the relation of h' and then that of s, and an
+identity relates an element to itself; so the generator relations
+generate the same equivalence as all of them, and the canonical
+coequalizer, the apex, the legs and every mediator are the same.  W and F
+must satisfy their laws, as validated values do.
+
 What the checks build from A alone, whatever the diagram, is built once
 per ``MCat`` and kept on it (``MCat.derived``): the Yoneda presheaves, the
 structure maps hom(x,y) ⊗ Y(x) -> Y(y) over the support, each self-checked
@@ -235,8 +244,9 @@ class PresentationWitness:
     """The presentation of a weighted colimit: the summands act(W(x), F(x))
     with their injections, the relation parts act(W(y) ⊗ hom(x,y), F(x))
     per pair (x, y) of ``A.support`` (a null pair adds an initial summand
-    and is left out), the two maps out of their sum, and the projection
-    onto the coequalizer."""
+    and is left out; over a pointwise base only the generator pairs of
+    ``A.generator_pairs`` are kept, rule C), the two maps out of their sum,
+    and the projection onto the coequalizer, which is the full relation's."""
     summands: tuple
     injections: tuple
     relation_parts: tuple
@@ -270,11 +280,14 @@ def weighted_colimit(W: Presheaf, F: MFunET, B=None) -> WColimit:
     S, injs = B.coproduct(summands)
 
     # a pair with a null hom gives an initial summand (``is_null``): it adds
-    # no element to the relation object and nothing to d0 or d1
+    # no element to the relation object and nothing to d0 or d1; over a
+    # pointwise base the generator pairs generate the same relation (rule C)
+    gens = A.generator_pairs()
+    pairs = A.support if gens is None else [xy for xy in A.support if xy in gens]
     rel_parts = []
     left_legs = []
     right_legs = []
-    for x, y in A.support:
+    for x, y in pairs:
         whom = base.tensor_ob(W.values[y], A.hom(x, y))
         rel_parts.append(B.act_ob(whom, F.ob_map[x]))
         # weight side: act(W.action, id) then include at x

@@ -54,5 +54,5 @@ def _module_level_caches():
 def test_no_module_level_memoization():
     # a value derived from a structure lives on that structure (as
     # ``MCat.derived`` does) and dies with it; nested helpers that cache
-    # within one call, as in ``presheaf.presheaf_laws``, are fine
+    # within one call, as in ``mfunctor.action_laws``, are fine
     assert _module_level_caches() == set()

@@ -12,10 +12,11 @@ import itertools
 
 import pytest
 
-from enrichkit import finset
+from enrichkit import enriched, finset
 from enrichkit.corpus import CorpusSampler, terminal_weight, z2_two_object_mcat
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
-from enrichkit.fincat import chain_cat, discrete_cat, parallel_pair, walking_arrow
+from enrichkit.errors import CompatibilityViolation, UnitActionViolation
+from enrichkit.fincat import chain_cat, discrete_cat, loop_cat, parallel_pair, walking_arrow
 from enrichkit.finset import SkSet
 from enrichkit.mfunctor import (
     check_mfun_mor,
@@ -35,6 +36,7 @@ from enrichkit.presheaf import (
     check_presheaf_mor,
     presheaf_laws,
     presheaf_square_laws,
+    presheaf_to_mfun_et,
     validate_presheaf,
     yoneda_presheaf,
 )
@@ -242,3 +244,101 @@ def test_support_is_a_value_and_equality_ignores_it():
         # the support is derived: equality and hash do not read it
         A2.support, A2.support_triples = (), ()
         assert A == A2 and hash(A) == hash(A2)
+
+
+# --- rule C: the generator slice against the full tables ----------------------
+
+def rule_c_categories():
+    """The finite-set-enriched loop3, parallel pair and chain3 and their
+    opposites, built afresh so each computes its own generators."""
+    cats = [mcat_from_fincat(c) for c in (loop_cat(3), parallel_pair(), chain_cat(3))]
+    return [A for a in cats for A in (a, opposite_mcat(a))]
+
+
+def hom_functors(A):
+    """The covariant hom functors hom(w, -) into the base acting on itself,
+    over either tensor order, and the maps hom(w, -) -> hom(v, -) given by
+    restriction along each point of hom(v, w)."""
+    base = A.base
+    T = base_as_module(base)
+    xs = range(A.n_objects)
+    fs = [validate_mfun_et(A, T, [A.hom(w, x) for x in xs],
+                           {(x, y): A.comp(w, x, y) for x in xs for y in xs})
+          for w in xs]
+    mors = [(fs[w], fs[v], tuple(base.compose(A.comp(v, w, x),
+                                              base.tensor_mor(base.id_of(A.hom(w, x)), pt))
+                                 for x in xs))
+            for v in xs for w in xs for pt in base.hom(base.unit, A.hom(v, w))]
+    return fs, mors
+
+
+def rule_c_cases(A):
+    """(label, validator outcome, full-table outcome) for every typed
+    single-cell mutation of the presheaves and diagrams on A and of the
+    components of morphisms between them; lazy, so a caller can stop at the
+    first disagreement."""
+    op = opposite_mcat(A)
+    ps = presheaves(A)
+    fs, fmors = hom_functors(A)
+    fs += [presheaf_to_mfun_et(p, A) for p in presheaves(op)[-2:]]
+    if A.base == FinSetModule().base:
+        fs += [CorpusSampler(s).random_diagram(A) for s in range(2)]
+    for p in ps:
+        for slot, a in p.action.items():
+            for other in finset.all_maps(a.dom, a.cod):
+                if other != a:
+                    mutated = {**p.action, slot: other}
+                    yield ("presheaf", outcome(validate_presheaf, A, p.values, mutated),
+                           brute_presheaf_failure(A, p.values, mutated))
+    for F in fs:
+        T = F.target
+        for slot, a in F.phi.items():
+            for other in finset.all_maps(a.dom, a.cod):
+                if other != a:
+                    mutated = {**F.phi, slot: other}
+                    yield ("functor", outcome(validate_mfun_et, A, T, F.ob_map, mutated),
+                           brute_mfun_et_failure(A, T, F.ob_map, mutated))
+    pmors = [(p, p, identity_components(p.values)) for p in ps]
+    pmors += [(t.source, t.target, t.components)
+              for t in (structure_presheaf_mor(A, x, y) for x, y in A.support)]
+    fmors += [(F, F, identity_components(F.ob_map)) for F in fs]
+    for mors, check, full in ((pmors, check_presheaf_mor, full_presheaf_squares),
+                              (fmors, check_mfun_mor, full_mfun_squares)):
+        for f, g, comps in mors:
+            ends = (f.values, g.values) if check is check_presheaf_mor else (f.ob_map, g.ob_map)
+            yield ("square", check(f, g, comps), full(f, g, comps))
+            for mutated in component_mutations(comps, *ends):
+                yield ("square", check(f, g, mutated), full(f, g, mutated))
+
+
+def test_generator_slice_gives_the_full_scan_verdict_on_every_mutation():
+    kinds = set()
+    outside = 0
+    for A in rule_c_categories():
+        pairs = A.generator_pairs()
+        for label, got, want in rule_c_cases(A):
+            assert got == want, (A, label)
+            if label == "square":
+                kinds.add(("square", bool(want)))
+                continue
+            kinds.add(want and want[0])
+            # a first witness outside the generator slice comes from the rerun
+            if want and len(want[1]) == 3:
+                outside += tuple(A.objects.index(want[1][k]) for k in "yz") not in pairs
+    assert {None, UnitActionViolation, CompatibilityViolation} < kinds
+    assert {("square", True), ("square", False)} < kinds
+    assert outside > 0
+
+
+def test_a_dropped_generator_is_caught_by_the_mutation_guard(monkeypatch):
+    # rule C with one generator left out of S is unsound; the cases above
+    # must show it on some instance
+    generating = enriched._generating_elements
+    caught = []
+    for index in range(2):
+        monkeypatch.setattr(enriched, "_generating_elements",
+                            lambda A: generating(A)[:index] + generating(A)[index + 1:])
+        caught += [A for A in rule_c_categories() if len(generating(A)) > index
+                   and any(got != want for _, got, want in rule_c_cases(A))]
+    monkeypatch.undo()
+    assert caught

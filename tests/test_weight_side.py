@@ -192,7 +192,9 @@ def test_discharged_pairs_give_the_full_presentation(name, seed):
         for W in weights:
             wc = weighted_colimit(W, F, B)
             w = wc.witness
-            assert (wc.apex, wc.cocone.legs, w.left_map, w.right_map, w.proj) \
-                == full_weighted_colimit(W, F, B)
-            assert len(w.relation_parts) == len(A.support)
+            apex, legs, full_d0, full_d1, proj = full_weighted_colimit(W, F, B)
+            assert (wc.apex, wc.cocone.legs, w.proj) == (apex, legs, proj)
+            # the generator relations generate every relation (rule C)
+            assert B.compose(w.proj, full_d0) == B.compose(w.proj, full_d1)
+            assert len(w.relation_parts) == len(A.generator_pairs())
         assert res(G).phi == full_res_phi(G)
