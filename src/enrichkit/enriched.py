@@ -41,8 +41,8 @@ class MCat:
     Rule C.  Over a ``pointwise`` base (finite sets under the product, in
     either tensor order) the category is an ordinary one whose morphisms
     are the points 1 -> hom(x, y), composed by comp(x, y, z) ∘ (g ⊗ f).
-    ``generators`` is a generating set S of it: every element is a
-    right-nested composite s1∘(s2∘(…∘sk)) of S and identities.  A map out
+    It has a generating set S (``_generating_elements``): every element is
+    a right-nested composite s1∘(s2∘(…∘sk)) of S and identities.  A map out
     of act(hom(y, z) ⊗ hom(x, y), a) is determined by its restrictions to
     the points g ⊗ f.  Write F(h) for the action of a family at the point
     h; compatibility says F(g∘f) = F(g)∘F(f) (composed the other way for a
@@ -58,11 +58,11 @@ class MCat:
     a failure, so verdicts and witnesses are those of the full scan.  The
     rule needs the unit cells in the same check, so the unit-free search of
     ``mfunctor.measure_unit_automatism`` keeps every cell; table bases and
-    the coproduct of finite sets have no ``generators`` (None) and keep
+    the coproduct of finite sets have no generator pairs (None) and keep
     every cell too.
 
     Equality and hash are structural (the name is ignored, and the support
-    and the generators are derived); the hash is computed once here because
+    and the generator pairs are derived); the hash is computed once here because
     presheaf keys hash their source.  ``derived`` keeps what the layers
     above compute from the category alone; equality and hash ignore it too.
     """
@@ -85,7 +85,7 @@ class MCat:
             succ[x].append(y)
         self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
         self._derived = {}
-        self._generators = self._generator_pairs = None
+        self._generator_pairs = None
 
     def derived(self, build, *args):
         """build(self, *args), computed on first use and kept by this
@@ -98,21 +98,13 @@ class MCat:
             self._derived[key] = build(self, *args)
         return self._derived[key]
 
-    def generators(self):
-        """Rule C's generating set S as elements (x, y, k), the k-th point
-        of hom(x, y), or None over a base that is not ``pointwise``.  The
-        indecomposable elements (no g∘f with g and f both non-identities)
-        come first, then the greedy completion in element order
-        (``fincat.greedy_generators``).  Computed on first use."""
-        if self._generators is None and self.base.pointwise:
-            self._generators = _generating_elements(self)
-        return self._generators
-
     def generator_pairs(self):
-        """The support pairs (x, y) whose hom(x, y) meets S, as a frozenset,
-        or None where rule C does not apply."""
+        """The support pairs (x, y) whose hom(x, y) meets rule C's
+        generating set S, as a frozenset, or None over a base that is not
+        ``pointwise``.  Computed on first use."""
         if self._generator_pairs is None and self.base.pointwise:
-            self._generator_pairs = frozenset((x, y) for x, y, _ in self.generators())
+            self._generator_pairs = frozenset(
+                (x, y) for x, y, _ in _generating_elements(self))
         return self._generator_pairs
 
     @property
@@ -151,9 +143,13 @@ class MCat:
 
 
 def _generating_elements(a: MCat):
-    """The elements (x, y, k) of ``MCat.generators``: each element is
-    numbered in (x, y, k) order, and each composite g∘f of a non-identity
-    g is read through the base, comp(x, y, z) ∘ (g ⊗ f), into after[g][f]."""
+    """Rule C's generating set S of a category over a pointwise base, as
+    elements (x, y, k), the k-th point of hom(x, y).  The indecomposable
+    elements (no g∘f with g and f both non-identities) come first, then the
+    greedy completion in element order (``fincat.greedy_generators``).
+    Each element is numbered in (x, y, k) order, and each composite g∘f of
+    a non-identity g is read through the base, comp(x, y, z) ∘ (g ⊗ f),
+    into after[g][f]."""
     base = a.base
     points = {xy: tuple(base.hom(base.unit, a.hom(*xy))) for xy in a.support}
     elements = [(x, y, k) for x, y in a.support for k in range(len(points[(x, y)]))]

@@ -159,7 +159,7 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
     check_family(target, action_slots(source, target, ob_map, False), phi, (
         (CompatibilityViolation, "compatibility square fails", compat),
         (UnitActionViolation, "unit action is not the identity", unit)),
-        source.cell_names, generator_laws(source, unit, compat))
+        source.cell_names, generator_laws(source, target, ob_map, False, unit, compat))
     return MFunET(source, target, ob_map, phi, name=name)
 
 
@@ -293,41 +293,53 @@ def action_square_laws(source, target, contra):
     return laws
 
 
-def generator_laws(source, unit, compat):
+def generator_laws(source, target, values, contra, unit, compat):
     """Rule C (``enriched.MCat``) for a validator: the unit cells and the
     compatibility cells (x, y, z) whose hom(y, z) meets the generators,
     which hold only if every cell does; None where the rule does not
-    apply.  A check without the unit cells must not use it."""
+    apply.  A check without the unit cells must not use it.
+
+    Each cell outside the slice keeps a law that only builds
+    act(hom(y, z) ⊗ hom(x, y), values[start]); every other object its law
+    builds has that size or is a slot type, which the typing check has
+    built.  A cell whose law would raise ``Overflow`` so raises here, and
+    the validator meets that error in the full scan, as without the rule."""
     pairs = source.generator_pairs()
     if pairs is None:
         return None
-    return unit + [law for law in compat if law[2][1:] in pairs]
+    dom = source.base.dom
+
+    def fits(t, cell):
+        x, y, z = cell
+        target.act_ob(dom(source.comp(x, y, z)), values[z if contra else x])
+        return True
+
+    return unit + [law if law[2][1:] in pairs else (law[0], fits, law[2])
+                   for law in compat]
 
 
 def generator_squares(source, squares):
     """Rule C for a morphism square between two validated families: the
     cells (x, y) whose hom(x, y) meets the generators; None where the rule
-    does not apply."""
+    does not apply.  A square builds only act(hom(x, y), values[s]) of
+    either family, the domains of its two components, so a cell outside
+    the slice raises no ``Overflow`` that the slice misses."""
     pairs = source.generator_pairs()
     if pairs is None:
         return None
     return [law for law in squares if law[2] in pairs]
 
 
-def action_families(source, target, contra, caps, check_unit, value_objects=None):
+def action_families(source, target, contra, caps, check_unit):
     """All (values, t, unit laws) with t satisfying compatibility, in lex
     order of (value map, action choices): the plan loop of both
-    enumerations.  The values range over ``value_objects``, by default
-    every object of the target's finite carrier.  The unit laws are
-    enforced only when check_unit is set, and returned either way.  They
-    go first: the unit law fixes t on the unit slice before any
-    compatibility cell is built, and the solutions do not depend on the
-    order of the laws.  Every compatibility cell is searched: rule C needs
-    the unit cells."""
-    if value_objects is None:
-        value_objects = range(target.carrier.n_objects)
+    enumerations.  The unit laws are enforced only when check_unit is set,
+    and returned either way.  They go first: the unit law fixes t on the
+    unit slice before any compatibility cell is built, and the solutions do
+    not depend on the order of the laws.  Every compatibility cell is
+    searched: rule C needs the unit cells."""
     for values, cands in bounded_plans(
-            value_objects, source.n_objects,
+            range(target.carrier.n_objects), source.n_objects,
             lambda values: action_cands(source, target, values, contra), caps,
             "presheaf" if contra else "functor"):
         unit, compat = action_laws(source, target, values, contra)
@@ -370,22 +382,19 @@ def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory
                         [MFunMor(i, j, comps) for i, j, comps in mors], fincat)
 
 
-def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS,
-                            value_objects=None):
+def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
     """Experiment for the open question on automatic unit constraints.
 
-    Enumerates all (ob_map, phi) satisfying only the compatibility square,
-    with ob_map ranging over ``value_objects`` (by default every object of
-    the target's finite carrier), and counts how many violate the
-    unit-action law.  Returns (candidates, violations, witnesses).  The
-    search has no unit cells, so it keeps every compatibility cell: rule C
-    (``enriched.MCat``) would admit more candidates without them.
+    Enumerates all (ob_map, phi) satisfying only the compatibility square
+    and counts how many violate the unit-action law.  Returns
+    (candidates, violations, witnesses).  The search has no unit cells, so
+    it keeps every compatibility cell: rule C (``enriched.MCat``) would
+    admit more candidates without them.
     """
     candidates = 0
     violations = 0
     witnesses = []
-    for ob_map, phi, unit in action_families(source, target, False, caps, False,
-                                              value_objects):
+    for ob_map, phi, unit in action_families(source, target, False, caps, False):
         candidates += 1
         cell = next(failures(unit, phi), None)
         if cell is not None:

@@ -104,7 +104,7 @@ class SkSetMonStr:
         # Under the product a map out of a ⊗ b, or out of an action of a on
         # a module over this base, is determined by its restrictions along
         # the tensors of points 1 -> a and 1 -> b: the unit is the point and
-        # the tensor preserves sums.  Rule C (``MCat.generators``) needs it.
+        # the tensor preserves sums.  Rule C (``MCat.generator_pairs``) needs it.
         self.pointwise = kind == "product"
 
     def tensor_ob(self, a, b):

@@ -86,7 +86,7 @@ def validate_presheaf(source: MCat, values, action) -> Presheaf:
     check_family(target, action_slots(source, target, values, True), action, (
         (UnitActionViolation, "presheaf unit action is not the identity", unit),
         (CompatibilityViolation, "presheaf compatibility fails", compat)),
-        source.cell_names, generator_laws(source, unit, compat))
+        source.cell_names, generator_laws(source, target, values, True, unit, compat))
     return Presheaf(source, values, action)
 
 

@@ -17,7 +17,9 @@ element h = s∘h' with s in S relates (W(h)(w), a) to (w, F(h)(a)) through
 identity relates an element to itself; so the generator relations
 generate the same equivalence as all of them, and the canonical
 coequalizer, the apex, the legs and every mediator are the same.  W and F
-must satisfy their laws, as validated values do.
+must satisfy their laws, as validated values do.  The relation object is
+smaller, so under a ``max_card`` between its size and the full one's the
+colimit is now built where the full presentation raised ``Overflow``.
 
 What the checks build from A alone, whatever the diagram, is built once
 per ``MCat`` and kept on it (``MCat.derived``): the Yoneda presheaves, the

@@ -11,16 +11,18 @@ import itertools
 import pytest
 
 from enrichkit import mfunctor, presheaf
+from enrichkit.caps import Caps
 from enrichkit.corpus import CorpusSampler, terminal_weight
-from enrichkit.enriched import mcat_from_fincat, opposite_mcat
+from enrichkit.enriched import _generating_elements, mcat_from_fincat, opposite_mcat
 from enrichkit.fincat import (
     chain_cat,
     discrete_cat,
     loop_cat,
     parallel_pair,
+    validate_fincat,
     walking_arrow,
 )
-from enrichkit.errors import CompatibilityViolation
+from enrichkit.errors import CompatibilityViolation, Overflow
 from enrichkit.finset import SkMap, SkSet
 from enrichkit.mfunctor import (
     check_mfun_mor,
@@ -33,6 +35,7 @@ from enrichkit.monoidal import (
     opposite_monoidal,
 )
 from enrichkit.presheaf import check_presheaf_mor, validate_presheaf
+from enrichkit.tensored import RightTensorModule
 from enrichkit.wcolim import FinSetModule, hom_diagram, weighted_colimit
 from tests.test_fastpaths import brute_mfun_et_failure
 from tests.test_support import codiscrete, identity_components
@@ -56,20 +59,22 @@ PINNED = {
 def test_generator_sets_are_pinned(name):
     size, pairs = PINNED[name]
     A = mcat_from_fincat(NAMED[name]())
-    assert len(A.generators()) == size
+    assert len(_generating_elements(A)) == size
     assert sorted(A.generator_pairs()) == pairs
     op = opposite_mcat(A)
-    assert len(op.generators()) == size
+    assert len(_generating_elements(op)) == size
     assert sorted(op.generator_pairs()) == sorted((y, x) for x, y in pairs)
     assert A.generator_pairs() <= set(A.support)
 
 
 def test_generators_of_the_chain_and_the_loop_are_the_steps():
     # chain8: the seven steps le(i, i+1); loop3: r1, element 1 of hom(*, *)
-    assert mcat_from_fincat(chain_cat(8)).generators() == tuple(
-        (i, i + 1, 0) for i in range(7))
-    assert mcat_from_fincat(loop_cat(3)).generators() == ((0, 0, 1),)
-    assert mcat_from_fincat(parallel_pair()).generators() == ((0, 1, 0), (0, 1, 1))
+    def generators(c):
+        return _generating_elements(mcat_from_fincat(c))
+
+    assert generators(chain_cat(8)) == tuple((i, i + 1, 0) for i in range(7))
+    assert generators(loop_cat(3)) == ((0, 0, 1),)
+    assert generators(parallel_pair()) == ((0, 1, 0), (0, 1, 1))
 
 
 def test_rule_c_does_not_apply_off_the_finite_set_product():
@@ -77,7 +82,7 @@ def test_rule_c_does_not_apply_off_the_finite_set_product():
     assert not any(base.pointwise for base in
                    (coproduct, opposite_monoidal(coproduct), boolean_monoidal()))
     A = codiscrete(3, 2)  # over the table base Z_3
-    assert A.generators() is None and A.generator_pairs() is None
+    assert A.generator_pairs() is None
 
 
 def closure_covers(c, gens, flipped):
@@ -114,7 +119,7 @@ def fincat_instances():
 def test_every_element_is_a_right_nested_word_in_the_generators(name, c):
     A = mcat_from_fincat(c)
     for cat, flipped in ((A, False), (opposite_mcat(A), True)):
-        gens = cat.generators()
+        gens = _generating_elements(cat)
         assert closure_covers(c, gens, flipped), (name, flipped)
         # no generator is an identity, and none repeats
         assert len(set(gens)) == len(gens)
@@ -227,15 +232,33 @@ def _compat(A, T, ob_map, phi, cell):
     return lhs == rhs
 
 
+class SmallSets(FinSetModule):
+    """Finite sets acting on themselves by product, with a finite carrier
+    that lists the value objects by index, as a table module's carrier
+    does: the index i stands for SETS[i]."""
+
+    SETS = (SkSet(1), SkSet(2))
+
+    def __init__(self):
+        super().__init__()
+        self.carrier = type("Carrier", (), {"n_objects": len(self.SETS)})
+
+        def ob(a):
+            return self.SETS[a] if isinstance(a, int) else a
+
+        act_ob, hom, id_of, obj_name = self.act_ob, self.hom, self.id_of, self.obj_name
+        self.act_ob = lambda m, a: act_ob(m, ob(a))
+        self.hom = lambda a, b: hom(ob(a), ob(b))
+        self.id_of = lambda a: id_of(ob(a))
+        self.obj_name = lambda a: obj_name(ob(a))
+
+
 @pytest.mark.parametrize("make", [lambda: loop_cat(2), walking_arrow])
 def test_unit_automatism_over_finite_sets_searches_every_cell(make):
     A = mcat_from_fincat(make())
-    T = FinSetModule()
-    values = [SkSet(1), SkSet(2)]
-    candidates, violations, witnesses = measure_unit_automatism(
-        A, T, value_objects=values)
+    candidates, violations, witnesses = measure_unit_automatism(A, SmallSets())
     assert (candidates, violations) == compat_only_families(
-        A, T, values, lambda y, z: True)
+        A, FinSetModule(), SmallSets.SETS, lambda y, z: True)
     assert len(witnesses) == violations > 0
 
 
@@ -250,3 +273,77 @@ def test_generator_cells_without_the_unit_cells_admit_more():
     pruned = compat_only_families(A, FinSetModule(), values,
                                   lambda y, z: (y, z) in pairs)
     assert pruned[0] > full[0]
+
+
+# --- a cap between the generator slice and the full tables --------------------
+
+def capped_category(caps):
+    """x -> y -> u -> z with two parallel steps each, where the two steps
+    y -> u followed by x -> y both compose to one c: x -> u.  hom(y, z) has
+    four elements, all composites, so no cell (-, y, z) is in the
+    generator slice, and the cell (x, y, z) has the largest tensor,
+    hom(y, z) ⊗ hom(x, y), of eight elements."""
+    steps = {"f": ("x", "y"), "g": ("y", "u"), "h": ("u", "z")}
+    morphisms = [(f"id_{o}", o, o) for o in "xyuz"]
+    morphisms += [(f"{s}{i}", *ends) for s, ends in steps.items() for i in (1, 2)]
+    morphisms += [("c", "x", "u"), ("d1", "x", "z"), ("d2", "x", "z")]
+    morphisms += [(f"k{i}{j}", "y", "z") for i in (1, 2) for j in (1, 2)]
+    compose = {(f"g{j}", f"f{i}", "c") for i in (1, 2) for j in (1, 2)}
+    compose |= {(f"h{i}", f"g{j}", f"k{i}{j}") for i in (1, 2) for j in (1, 2)}
+    compose |= {(f"h{i}", "c", f"d{i}") for i in (1, 2)}
+    compose |= {(f"k{i}{j}", f"f{k}", f"d{i}") for i in (1, 2) for j in (1, 2)
+                for k in (1, 2)}
+    compose |= {(f"id_{cod}", m, m) for m, _, cod in morphisms}
+    compose |= {(m, f"id_{dom}", m) for m, dom, _ in morphisms}
+    return mcat_from_fincat(validate_fincat(list("xyuz"), morphisms, sorted(compose)), caps)
+
+
+def constant_family(A, target, card, contra):
+    """Every value a card-element set v and every action the projection
+    act(hom(x, y), v) -> act(1, v) = v."""
+    v, point = SkSet(card), SkSet(1)
+    return [v] * A.n_objects, {
+        (x, y): target.act_mor(SkMap(A.hom(x, y), point, (0,) * A.hom(x, y).card),
+                               target.id_of(v))
+        for x in range(A.n_objects) for y in range(A.n_objects)}
+
+
+@pytest.mark.parametrize("contra", [True, False])
+def test_a_capped_cell_outside_the_slice_still_overflows(contra):
+    # with two-element values the law of (x, y, z) builds a set of 16
+    # elements; every cell of the generator slice and every slot type stays
+    # within 8, so only that cell overflows at max_card 15, as in the full
+    # scan
+    for caps, overflows in ((Caps(max_card=15), True), (Caps(), False)):
+        A = capped_category(caps)
+        x, y, z = (A.objects.index(o) for o in "xyz")
+        assert (y, z) not in A.generator_pairs()
+        if contra:
+            target = RightTensorModule(A.base)
+            values, action = constant_family(A, target, 2, True)
+            run = lambda: validate_presheaf(A, values, action)
+        else:
+            target = FinSetModule(caps)
+            values, action = constant_family(A, target, 2, False)
+            run = lambda: validate_mfun_et(A, target, values, action)
+        if overflows:
+            with pytest.raises(Overflow, match="product cardinality 16 exceeds cap 15"):
+                run()
+        else:
+            run()
+
+
+def test_a_capped_colimit_sums_the_generator_relations_only():
+    # the relation object over the generator pairs has 24 elements and the
+    # full one 68: under max_card 30 the colimit is built where the full
+    # presentation would raise Overflow, and it is the uncapped one
+    wcs = []
+    for caps in (Caps(max_card=30), Caps()):
+        A = capped_category(caps)
+        W = validate_presheaf(A, *constant_family(A, RightTensorModule(A.base), 2, True))
+        B = FinSetModule(caps)
+        F = validate_mfun_et(A, B, *constant_family(A, B, 2, False))
+        wcs.append(weighted_colimit(W, F, B))
+    full = sum(2 * A.hom(x, y).card * 2 for x, y in A.support)
+    assert (sum(p.card for p in wcs[0].witness.relation_parts), full) == (24, 68)
+    assert (wcs[0].apex, wcs[0].witness.proj) == (wcs[1].apex, wcs[1].witness.proj)
