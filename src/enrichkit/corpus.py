@@ -7,31 +7,27 @@ small Z_k one-object bases for mutation tests, and the idempotent-target
 instance that separates the compatibility square from the unit-action law.
 
 Random bases and enriched categories are rejection sampled from uniformly
-drawn type-correct tables.  Random presheaves and diagrams are drawn by
-randomized backtracking over the one statement of the laws of a family of
-action maps (``mfunctor.action_laws``), read contravariantly into the base
-acting on itself from the right for a presheaf and covariantly into finite
-sets for a diagram; the terminal weight and the terminal diagram are the
-family with every value a point (``terminal_family``).  Every emitted
-structure passes its validator; attempts, acceptances and fallbacks are
-*reported*, never assumed.
-
-A draw is the first lawful assignment with each slot's candidates shuffled
-once.  The candidates of a slot are the lazy hom-set ``finset.Maps``: the
-draw shuffles its index order, then reads maps by index in that order, so
-it builds only the maps the search reaches.  The unit law comes first in
-the law table it searches; it fixes the actions on the unit slots before
-any compatibility cell is built.
+drawn type-correct tables.  A random presheaf or diagram needs a category
+enriched in finite sets under the product (a ``pointwise`` base): an
+ordinary category with rule C's generating set S (``enriched.MCat``).  A
+functor out of it is determined by the images of S (Mac Lane, CWM §II.7-8;
+Kelly 1982, §1.2), so a draw shuffles the index order of each image's lazy
+hom-set (``finset.Maps``) and extends the first lawful tuple of images by
+composition.  An accepted draw is lawful because rule C's slice of the laws
+of a family of action maps holds (``mfunctor.generator_laws``), and the
+validator runs again on the result.  The terminal weight and the terminal
+diagram are the family with every value a point (``terminal_family``).
+Attempts, acceptances and fallbacks are *reported*, never assumed.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from . import finset
+from . import enriched, finset
 from .caps import Caps, DEFAULT_CAPS
 from .enriched import MCat, mcat_from_fincat, mcat_slots, slot_type, validate_mcat
-from .errors import ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .fincat import (
     chain_cat,
     discrete_cat,
@@ -42,7 +38,14 @@ from .fincat import (
     walking_arrow,
 )
 from .finset import SkMap, SkSet
-from .mfunctor import MFunET, action_cands, action_laws, validate_mfun_et
+from .mfunctor import (
+    MFunET,
+    action_cands,
+    action_laws,
+    action_slots,
+    generator_laws,
+    validate_mfun_et,
+)
 from .monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
@@ -50,7 +53,7 @@ from .monoidal import (
     loop_monoidal,
 )
 from .presheaf import Presheaf, validate_presheaf
-from .search import backtrack
+from .search import all_hold, backtrack
 from .tensored import RightTensorModule, validate_module
 from .wcolim import FinSetModule
 
@@ -156,20 +159,10 @@ def boolean_on_chain3_module():
     """The Boolean base acting on the 3-chain: act(m, b) = b if m = 1 else 0."""
     M = boolean_monoidal()
     C = chain_cat(3)
-    act_ob = {}
-    for m in range(2):
-        for b in range(3):
-            act_ob[(m, b)] = b if m == 1 else 0
-    mor_ends = {h: (C.dom(h), C.cod(h)) for h in range(C.n_morphisms)}
-    chain_mor = {}
-    for h, (d, c) in mor_ends.items():
-        chain_mor[(d, c)] = h
-    act_mor = {}
-    for u in range(M.carrier.n_morphisms):
-        for h in range(C.n_morphisms):
-            d = act_ob[(M.dom(u), C.dom(h))]
-            c = act_ob[(M.cod(u), C.cod(h))]
-            act_mor[(u, h)] = chain_mor[(d, c)]
+    act_ob = {(m, b): b if m == 1 else 0 for m in range(2) for b in range(3)}
+    chain_mor = {(C.dom(h), C.cod(h)): h for h in range(C.n_morphisms)}
+    act_mor = {(u, h): chain_mor[(act_ob[(M.dom(u), C.dom(h))], act_ob[(M.cod(u), C.cod(h))])]
+               for u in range(M.carrier.n_morphisms) for h in range(C.n_morphisms)}
     return validate_module(M, C, act_ob, act_mor, name="bool-on-chain3")
 
 
@@ -238,18 +231,10 @@ class CorpusSampler:
 
     # -- monoidal bases
     def random_monoidal(self):
-        pick = self.rng.randrange(6)
-        if pick == 0:
-            return boolean_monoidal()
-        if pick == 1:
-            return chain_meet_monoidal(3)
-        if pick == 2:
-            return loop_monoidal(self.rng.choice([2, 3, 4]))
-        if pick == 3:
-            return self._random_discrete_monoid(2)
-        if pick == 4:
-            return self._random_discrete_monoid(3)
-        return c3_monoidal()
+        return [boolean_monoidal, lambda: chain_meet_monoidal(3),
+                lambda: loop_monoidal(self.rng.choice([2, 3, 4])),
+                lambda: self._random_discrete_monoid(2),
+                lambda: self._random_discrete_monoid(3), c3_monoidal][self.rng.randrange(6)]()
 
     def _random_discrete_monoid(self, n):
         """Uniform raw tables with forced unit row/column, rejected until
@@ -286,13 +271,9 @@ class CorpusSampler:
         while True:
             self.mcat_stats.attempts += 1
             n = self.rng.choice([1, 1, 2, 2, 2, 3])
-            hom = {}
-            for x in range(n):
-                hom[(x, x)] = self.rng.choice(unit_ok)
-            for x in range(n):
-                for y in range(n):
-                    if x != y:
-                        hom[(x, y)] = self.rng.choice(list(M.objects()))
+            hom = {(x, x): self.rng.choice(unit_ok) for x in range(n)}
+            hom.update({(x, y): self.rng.choice(list(M.objects()))
+                        for x in range(n) for y in range(n) if x != y})
             drawn = {}
             for slot in mcat_slots(n):
                 cands = M.hom(*slot_type(M, hom, slot))
@@ -313,20 +294,9 @@ class CorpusSampler:
 
     # -- ordinary categories for the colimit layer
     def random_fincat(self):
-        pick = self.rng.randrange(7)
-        if pick == 0:
-            return terminal_cat()
-        if pick == 1:
-            return walking_arrow()
-        if pick == 2:
-            return parallel_pair()
-        if pick == 3:
-            return chain_cat(3)
-        if pick == 4:
-            return discrete_cat(["d0", "d1"])
-        if pick == 5:
-            return loop_cat(2)
-        return loop_cat(3)
+        return [terminal_cat, walking_arrow, parallel_pair, lambda: chain_cat(3),
+                lambda: discrete_cat(["d0", "d1"]), lambda: loop_cat(2),
+                lambda: loop_cat(3)][self.rng.randrange(7)]()
 
     def random_presheaf(self, A: MCat):
         """Random presheaf; the terminal weight when no draw succeeds."""
@@ -347,40 +317,63 @@ class CorpusSampler:
 
     def _draw(self, A, target, contra, stats):
         """Up to 64 attempts: value cards drawn uniformly in 1..MAX_CARD,
-        then the first family of action maps into ``target`` passing the
-        unit and compatibility laws (``action_laws``), each slot's
-        candidates shuffled once, in slot order.  Returns (values,
-        actions), or None after counting a fallback.  The shuffle permutes
-        a slot's indices, which takes the same rng calls as shuffling its
-        maps (``random.shuffle`` reads only the length)."""
+        then per generator s: x -> y of S, in its order, the index order of
+        its image's hom-set values[x] -> values[y] (reversed for a presheaf)
+        shuffled once, and the first tuple of images whose extension passes
+        rule C's slice of ``action_laws`` (``generator_laws``); the search
+        stops there, so the last family built is the accepted one.  The
+        extension sends identities to identities and each s∘f (read from
+        ``enriched.element_table``) to F(s)∘F(f), or F(f)∘F(s) for a
+        presheaf, at the first word reaching it (a word that disagrees fails
+        a generator cell), and fails when S misses an element.  An action map
+        is built from its restrictions act(p, id) to the points p of its hom.
+        Returns (values, actions), or None after counting a fallback."""
+        if not A.base.pointwise:
+            raise ShapeMismatch(f"random draws need a pointwise base, not {A.base.name!r}")
+        elements, index, ids, after = enriched.element_table(A)
+        gens = [elements.index(s) for s in enriched._generating_elements(A)]
+        out = [[s for s in gens if elements[s][0] == x] for x in range(A.n_objects)]
+        ends = {g: elements[g][1::-1] if contra else elements[g][:2] for g in gens}
         for _ in range(64):
             stats.attempts += 1
             values = [SkSet(self.rng.randrange(1, MAX_CARD + 1))
                       for _ in range(A.n_objects)]
-            cands = action_cands(A, target, values, contra)
-            unit, compat = action_laws(A, target, values, contra)
-            views = {}
-            for slot, seq in cands.items():
-                order = list(range(len(seq)))
+            images = {g: target.hom(*(values[o] for o in ends[g])) for g in gens}
+            orders, built = {g: list(range(len(maps))) for g, maps in images.items()}, []
+            for order in orders.values():
                 self.rng.shuffle(order)
-                views[slot] = _InOrder(seq, order)
-            actions = next(backtrack(views, unit + compat), None)
-            if actions is not None:
+            laws = generator_laws(A, target, values, contra,
+                                  *action_laws(A, target, values, contra))
+
+            def extends(choice, _):
+                image = {s: images[s][i] for s, i in choice.items()}
+                F = [None] * len(elements)
+                for x, e in enumerate(ids):
+                    F[e] = target.id_of(values[x])
+                work = list(ids)
+                while work:
+                    f = work.pop()
+                    for s in out[elements[f][1]]:
+                        e = after[s][f]
+                        if F[e] is None:
+                            F[e] = (target.compose(F[f], image[s]) if contra
+                                    else target.compose(image[s], F[f]))
+                            work.append(e)
+                if None in F:
+                    return False
+                t = {}
+                for slot, (dom, cod) in action_slots(A, target, values, contra):
+                    table = [0] * dom.card
+                    start = target.id_of(values[slot[1] if contra else slot[0]])
+                    for p, e in index.get(slot, {}).items():
+                        for i, v in zip(target.act_mor(p, start).table, F[e].table):
+                            table[i] = v
+                    t[slot] = SkMap(dom, cod, tuple(table))
+                built.append(t)
+                return all_hold(laws, t)
+
+            if next(backtrack(orders, [(tuple(gens), extends, None)]), None) is not None:
                 stats.accepted += 1
-                return values, actions
+                return values, built[-1]
         stats.fallbacks += 1
         return None
-
-
-class _InOrder:
-    """``seq`` read in the index order ``order``; iterable any number of
-    times, as the search re-enters a slot."""
-
-    __slots__ = ("seq", "order")
-
-    def __init__(self, seq, order):
-        self.seq = seq
-        self.order = order
-
-    def __iter__(self):
-        return map(self.seq.__getitem__, self.order)

@@ -85,7 +85,7 @@ class MCat:
             succ[x].append(y)
         self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
         self._derived = {}
-        self._generator_pairs = None
+        self._elements = self._generator_pairs = None
 
     def derived(self, build, *args):
         """build(self, *args), computed on first use and kept by this
@@ -142,14 +142,15 @@ class MCat:
         return f"MCat({self.name!r}, {self.n_objects} objects over {self.base!r})"
 
 
-def _generating_elements(a: MCat):
-    """Rule C's generating set S of a category over a pointwise base, as
-    elements (x, y, k), the k-th point of hom(x, y).  The indecomposable
-    elements (no g∘f with g and f both non-identities) come first, then the
-    greedy completion in element order (``fincat.greedy_generators``).
-    Each element is numbered in (x, y, k) order, and each composite g∘f of
-    a non-identity g is read through the base, comp(x, y, z) ∘ (g ⊗ f),
-    into after[g][f]."""
+def element_table(a: MCat):
+    """(elements, index, ids, after) of a category over a pointwise base,
+    computed on first use and kept by it: the elements (x, y, k), the k-th
+    point of hom(x, y), numbered in that order; index[(x, y)] numbers the
+    points of hom(x, y), ids[x] the identity of x and after[g][f] each g∘f
+    of a non-identity g, read as comp(x, y, z) ∘ (g ⊗ f).  Rule C's
+    generators and the sampler's extension along them read this table."""
+    if a._elements is not None:
+        return a._elements
     base = a.base
     points = {xy: tuple(base.hom(base.unit, a.hom(*xy))) for xy in a.support}
     elements = [(x, y, k) for x, y in a.support for k in range(len(points[(x, y)]))]
@@ -167,6 +168,17 @@ def _generating_elements(a: MCat):
                 for f, pf in zip(index[(x, y)].values(), points[(x, y)]):
                     row[f] = (g if f in identity
                               else into[base.compose(c, base.tensor_mor(pg, pf))])
+    a._elements = elements, index, ids, after
+    return a._elements
+
+
+def _generating_elements(a: MCat):
+    """Rule C's generating set S of a category over a pointwise base, as
+    elements (x, y, k) of ``element_table``.  The indecomposable elements
+    (no g∘f with g and f both non-identities) come first, then the greedy
+    completion in element order (``fincat.greedy_generators``)."""
+    elements, _, ids, after = element_table(a)
+    identity = set(ids)
     decomposable = {gf for row in after.values() for f, gf in row.items()
                     if f not in identity}
     first = [e for e in range(len(elements)) if e not in identity and e not in decomposable]

@@ -183,11 +183,6 @@ def check_mfun_mor(f: MFunET, g: MFunET, components):
                         generator_squares(f.source, laws))
 
 
-def mfun_et_slots(source, target, ob_map):
-    """``action_slots`` read covariantly."""
-    return action_slots(source, target, ob_map, False)
-
-
 # --- families of action maps: t[(x, y)]: act(hom(x, y), values[s]) -> values[e]
 # with (s, e) = (x, y), or (y, x) for a contravariant family (``contra``)
 

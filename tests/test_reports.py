@@ -42,18 +42,18 @@ PINNED = {
     ("yoneda", "wcolim_demo", 3): "385d822fcb509397f5d84e6075e229d716f3fcb556e9635a0ac550bceeca4a17",
     ("wcolim", "wcolim_demo", 3): "bfa62f0ebf233eb6c24904948e1ad5faab2e935d94349212c3249f6a40e77e78",
     ("universal", "wcolim_demo", 3): "8a7572b9605f0ef48b71374ac4f5cfda78d1f4ced9f2b6bfd815e6a4c863b075",
-    ("fuzz", None, 0): "075f63e4ec1889019617c27b9d5ff36cfb5b2fd5d9982ed0810e00643b8138c3",
-    ("fuzz", None, 1): "0acac738cc42599a0037e4c77edce8c74f29d68d9710cff9ebeffd21ec11ef30",
-    ("fuzz", None, 2): "64efc074974c41061ddd2df73276cd1db79844bb66c4e21692608a9b8362a01a",
-    ("fuzz", None, 3): "f73742ef9b742b60c26694dc1774d9e4fdd8c540fa8dc21fad10aa5141da61c0",
-    ("fuzz", None, 4): "591d41d40c8a81ad97204784870e8f587588fb7b965ccb442e9b06e801259dc9",
-    ("fuzz", None, 5): "53b49b95c0f04ba6c953e701f16d19c90eda3b91487324ccb9ec797d70511fb8",
-    ("fuzz", None, 6): "e4aaf1c65514d5da39780c13ca83ca143085b576c6398ea7880282ae08b7bef9",
-    ("fuzz", None, 7): "b46fe8ddc86d9b5f4b62127b0193b3fcc00229dbc65e4fc0da59bca14d88a5a7",
-    ("fuzz", None, 8): "6fbe93bf3eded16c934064917400dbcb0bb79ba252cd402e1cd544bfa106e0ac",
-    ("fuzz", None, 9): "dce390dc2186a73801cba1e54922f5b3b530b9232ff4d75a127aff3b82389aea",
-    ("fuzz", None, 10): "ce90b3e684f127b0f8d9e0c62a7826becb37e8a5cfa14e44e19de807cfdd72c1",
-    ("fuzz", None, 11): "003a3d133663e6b10be26241d585728eb4434d5eb925eeecc53421dc5feab19f",
+    ("fuzz", None, 0): "9ffe6c3da4f888e5fc5c0b9ebef039f04be71fce3f8ca54b054d530502bd3631",
+    ("fuzz", None, 1): "d9c03fb3c044d4fce1ee1ce82420ab2de121a1e61620674f8f8c681289e920a8",
+    ("fuzz", None, 2): "0138ae66abd700eee1acad1aee156813b4cfd08b709b596d3952b3368352f4f8",
+    ("fuzz", None, 3): "362228e2d605384565d3b980cce855e0f098888c08c5879f6dfd4ad97007d854",
+    ("fuzz", None, 4): "71e98475a9610da421bd6d2e23a6ebf87e9b0299f7f5298a912b5f5ad3ff5b8a",
+    ("fuzz", None, 5): "c5af7f67ded274316d6e223dad66162bbde0f5a487a0ed80a90d9b404e1eb1a5",
+    ("fuzz", None, 6): "ee1060399a7d6b5bef2a0f2222ba0acf6e0236990fae6a7087a7f4d63439b4ed",
+    ("fuzz", None, 7): "b02b741b45ac97a22a39b08042f9460964d31f64f5d84ca0413730b6687f05c0",
+    ("fuzz", None, 8): "248dbf5a5ddc7c5deb0c1f4593356d9b8663e1cff471b35fc671f128e68fde73",
+    ("fuzz", None, 9): "0fa90bed4754daeefc58c0a1895ae15038fb5af1ddc13d890205e469eb2a2167",
+    ("fuzz", None, 10): "4f7b1fc0f52672ca5716ef170ff03f131d1199b66760b8164b2311390535e291",
+    ("fuzz", None, 11): "aa9d7a11f6fbfb6ae1b427d1fe99aff02d822f59250255e2adc78c6b72ebc5ed",
 }
 
 
