@@ -77,8 +77,10 @@ def extend(D, values, gens, images, contra):
     while work:
         f = work.pop()
         for s, image in zip(gens, images):
-            e = D.compose(s, f) if D.ends(s)[0] == D.ends(f)[1] else None
-            if e is not None and e not in F:
+            if D.ends(s)[0] != D.ends(f)[1]:
+                continue
+            e = D.compose(s, f)
+            if e not in F:
                 F[e] = finset.compose(F[f], image) if contra else finset.compose(image, F[f])
                 work.append(e)
     return F if len(F) == D.C.n_morphisms else None
