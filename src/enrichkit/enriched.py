@@ -85,7 +85,7 @@ class MCat:
             succ[x].append(y)
         self.support_triples = tuple((x, y, z) for x, y in self.support for z in succ[y])
         self._derived = {}
-        self._elements = self._generator_pairs = None
+        self._elements = self._generators = self._generator_pairs = None
 
     def derived(self, build, *args):
         """build(self, *args), computed on first use and kept by this
@@ -176,7 +176,10 @@ def _generating_elements(a: MCat):
     """Rule C's generating set S of a category over a pointwise base, as
     elements (x, y, k) of ``element_table``.  The indecomposable elements
     (no g∘f with g and f both non-identities) come first, then the greedy
-    completion in element order (``fincat.greedy_generators``)."""
+    completion in element order (``fincat.greedy_generators``).  Computed
+    on first use and kept by the category, for its every reader."""
+    if a._generators is not None:
+        return a._generators
     elements, _, ids, after = element_table(a)
     identity = set(ids)
     decomposable = {gf for row in after.values() for f, gf in row.items()
@@ -185,7 +188,8 @@ def _generating_elements(a: MCat):
     gens = greedy_generators(a.n_objects, [x for x, _, _ in elements],
                              [y for _, y, _ in elements], ids, after, range(len(elements)),
                              first + list(range(len(elements))))
-    return tuple(elements[e] for e in gens)
+    a._generators = tuple(elements[e] for e in gens)
+    return a._generators
 
 
 def mcat_slots(n):

@@ -17,6 +17,25 @@ empty map whenever their domain is empty.  No operation is memoized.  A
 identity, then hash, then table and codomain.  A ``SkSet``/``SkMap`` built
 directly is equal to, and hashes like, the shared one.
 
+The kernel builds a map without the range scan only where its table is in
+range by construction (``_made``; the public ``SkMap(...)``, and with it
+every spec, builder, sampler and probe path, keeps the check).  The
+argument, once per call site:
+
+- ``compose``: the entries are entries of g's table, so below |cod g|;
+- ``product_map``: a·|cod g| + b with a < |cod f| and b < |cod g| is below
+  |cod f|·|cod g|;
+- ``copair``: the entries are entries of maps into the shared codomain;
+- ``injection``: ``range(off, off + |part|)`` ends at most at the total;
+- ``coproduct_map``: the k-th offset plus an entry of a map into the k-th
+  codomain is below the sum of the codomains;
+- ``coequalizer``: the entries number the classes, below their count;
+- ``factor_through_coequalizer``: the entries are entries of h's table,
+  and a class that no element reaches is refused;
+- ``Maps.__getitem__``: the entries are digits in base |y|.
+
+Each such table is built with one entry per element of its domain.
+
 Hom-sets are lazy.  ``hom_maps`` checks the size of x -> y against the cap
 and returns a ``Maps`` sequence that builds a map only when it is read, by
 index or by iteration in lexicographic table order.  A seeded draw
@@ -84,6 +103,23 @@ class SkMap:
         return self.table[i]
 
 
+_new = object.__new__
+_set_dom, _set_cod = SkMap.dom.__set__, SkMap.cod.__set__
+_set_table, _set_hash = SkMap.table.__set__, SkMap._hash.__set__
+
+
+def _made(dom, cod, table):
+    """``SkMap(dom, cod, table)`` without the length and range scan, for a
+    table that is in range by construction (the module docstring names each
+    call site and its argument); same fields, same hash."""
+    m = _new(SkMap)
+    _set_dom(m, dom)
+    _set_cod(m, cod)
+    _set_table(m, table)
+    _set_hash(m, hash(((dom.card,), (cod.card,), table)))
+    return m
+
+
 # The shared values by cardinality, each built on first use.  The slots are
 # filled in place, never rebound, so every holder of these lists sees them.
 _SETS = [None] * INTERN_LIMIT
@@ -126,7 +162,8 @@ def compose(g: SkMap, f: SkMap) -> SkMap:
         raise ShapeMismatch(f"cannot compose {g} after {f}")
     if not f.table:
         return initial_map(g.cod)
-    return SkMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
+    # entries of g's table
+    return _made(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def is_bijection(f: SkMap) -> bool:
@@ -166,7 +203,8 @@ def product_map(f: SkMap, g: SkMap, caps: Caps = DEFAULT_CAPS) -> SkMap:
     if not dom.card:
         return initial_map(cod)
     n, gt = g.cod.card, g.table
-    return SkMap(dom, cod, tuple([a * n + b for a in f.table for b in gt]))
+    # a·|cod g| + b with a < |cod f| and b < |cod g|
+    return _made(dom, cod, tuple([a * n + b for a in f.table for b in gt]))
 
 
 # --- coproduct --------------------------------------------------------------
@@ -190,7 +228,8 @@ def offsets(parts):
 def injection(parts, k: int, caps: Caps = DEFAULT_CAPS) -> SkMap:
     total = coproduct(parts, caps)
     off = offsets(parts)[k]
-    return SkMap(parts[k], total, tuple(off + i for i in range(parts[k].card)))
+    # range(off, off + |part|) ends at most at the total
+    return _made(parts[k], total, tuple(range(off, off + parts[k].card)))
 
 
 def copair(parts, maps, caps: Caps = DEFAULT_CAPS) -> SkMap:
@@ -205,7 +244,8 @@ def copair(parts, maps, caps: Caps = DEFAULT_CAPS) -> SkMap:
             raise ShapeMismatch("copair: map domain differs from its part")
     cod = maps[0].cod if maps else _skset(0)
     table = tuple(v for m in maps for v in m.table)
-    return SkMap(coproduct(parts, caps), cod, table)
+    # entries of maps into the shared codomain
+    return _made(coproduct(parts, caps), cod, table)
 
 
 def coproduct_map(fs, caps: Caps = DEFAULT_CAPS) -> SkMap:
@@ -213,7 +253,8 @@ def coproduct_map(fs, caps: Caps = DEFAULT_CAPS) -> SkMap:
     cods = [f.cod for f in fs]
     out_off = offsets(cods)
     table = tuple(out_off[k] + v for k, f in enumerate(fs) for v in f.table)
-    return SkMap(coproduct(doms, caps), coproduct(cods, caps), table)
+    # the k-th offset plus an entry of a map into the k-th codomain
+    return _made(coproduct(doms, caps), coproduct(cods, caps), table)
 
 
 # --- coequalizer ------------------------------------------------------------
@@ -246,7 +287,8 @@ def coequalizer(f: SkMap, g: SkMap):
 
     reps = sorted({find(i) for i in range(f.cod.card)})
     index = {r: k for k, r in enumerate(reps)}
-    proj = SkMap(f.cod, _skset(len(reps)), tuple(index[find(i)] for i in range(f.cod.card)))
+    # the entries number the classes
+    proj = _made(f.cod, _skset(len(reps)), tuple(index[find(i)] for i in range(f.cod.card)))
     return proj.cod, proj
 
 
@@ -261,7 +303,10 @@ def factor_through_coequalizer(proj: SkMap, h: SkMap):
             table[c] = h.table[i]
         elif table[c] != h.table[i]:
             return None
-    return SkMap(proj.cod, h.cod, tuple(table))
+    if None in table:
+        raise ShapeMismatch("factor: the projection is not onto")
+    # entries of h's table, one per class
+    return _made(proj.cod, h.cod, tuple(table))
 
 
 # --- hom enumeration --------------------------------------------------------
@@ -302,7 +347,8 @@ class Maps(Sequence):
         if not 0 <= i < self._len:
             raise IndexError("map index out of range")
         base = self.cod.card
-        return SkMap(self.dom, self.cod, tuple([i // p % base for p in self._powers]))
+        # digits in base |y|
+        return _made(self.dom, self.cod, tuple([i // p % base for p in self._powers]))
 
     def __iter__(self):
         return all_maps(self.dom, self.cod)

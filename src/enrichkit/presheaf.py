@@ -97,12 +97,6 @@ def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
                         generator_squares(f.source, laws))
 
 
-def presheaf_slots(source: MCat, values):
-    """(slot, (dom, cod)) per action slot (x, y), in slot order: the action
-    map values[y] ⊗ hom(x,y) -> values[x] (``action_slots``)."""
-    return action_slots(source, RightTensorModule(source.base), values, True)
-
-
 def presheaf_laws(source: MCat, values):
     """The presheaf laws as two law tables (unit, compat): ``action_laws``
     read contravariantly."""

@@ -19,7 +19,14 @@ generate the same equivalence as all of them, and the canonical
 coequalizer, the apex, the legs and every mediator are the same.  W and F
 must satisfy their laws, as validated values do.  The relation object is
 smaller, so under a ``max_card`` between its size and the full one's the
-colimit is now built where the full presentation raised ``Overflow``.
+colimit is now built where the full presentation raised ``Overflow``.  By
+the same induction ``canonical_presentation`` checks naturality at the
+points of S, and at every point only on a failure (its docstring gives
+the argument).
+
+``Ext`` memoizes what it builds: the colimit per weight, the map per weight
+morphism (``on_mor``) and the tensor comparison per (m, W), which ``res``
+asks for once per y in the support of x.
 
 What the checks build from A alone, whatever the diagram, is built once
 per ``MCat`` and kept on it (``MCat.derived``): the Yoneda presheaves, the
@@ -54,7 +61,7 @@ make the pair an equivalence at desk scale.
 import random
 from dataclasses import dataclass
 
-from . import finset
+from . import enriched, finset
 from .caps import Caps, DEFAULT_CAPS
 from .enriched import MCat
 from .errors import InternalError, ShapeMismatch
@@ -407,7 +414,22 @@ class PresentationReport:
 def canonical_presentation(F: Presheaf, caps: Caps = DEFAULT_CAPS) -> PresentationReport:
     """Verify F = colim_F(Y) pointwise: at each object w, the weighted
     colimit of x -> hom(w, x) with weight F is naturally isomorphic to F(w),
-    via the mediator of the canonical cocone built from F's own actions."""
+    via the mediator of the canonical cocone built from F's own actions.
+
+    Naturality at a point u of hom(w', w) compares Z(u) and F(u), where
+    r_u is restriction along u, g -> g∘u, Z(u) the map colim_w -> colim_w'
+    it induces and F(u) F's action at u.  Over a ``pointwise`` base
+    (rule C) it is checked at the points u in S first
+    (``enriched._generating_elements``, read once per category), and at
+    every point, in order, on any failure, so the failures are the full
+    scan's.  S suffices, by induction on the word of u:
+
+    - for u = s∘f, r_u = r_f∘r_s;
+    - Z(u) = Z(f)∘Z(s), because both mediate the same cocone and mediators
+      are unique (the legs are jointly surjective);
+    - F(u) = F(f)∘F(s) for a validated F;
+    - so naturality at s and at f gives it at u, and at an identity point
+      both Z and F are identities, where it holds trivially."""
     A = F.source
     base = A.base
     B = FinSetModule(caps)
@@ -424,23 +446,32 @@ def canonical_presentation(F: Presheaf, caps: Caps = DEFAULT_CAPS) -> Presentati
         comparisons.append(beta)
         if beta is None or not B.is_iso(beta):
             failures.append({"w": A.obj_name(w), "kind": "not-bijective"})
+    if failures:
+        return PresentationReport(n, tuple(failures))
 
-    if not failures:
-        ids = [base.id_of(v) for v in F.values]
-        for w in range(n):
-            for wp in range(n):
-                # the points of hom(w', w) in order, so u is the index
-                for u, pt in enumerate(base.hom(base.unit, A.hom(wp, w))):
-                    # restriction along u on the colimit side
-                    zmap = _induced(colimits[w], colimits[wp], ids,
-                                    [_restrict(base, A.comp(wp, w, x), A.hom(w, x), pt)
-                                     for x in range(n)], B)
-                    fmap = _restrict(base, F.action[(wp, w)], F.values[w], pt)
-                    lhs = B.compose(comparisons[wp], zmap)
-                    rhs = B.compose(fmap, comparisons[w])
-                    if lhs != rhs:
-                        failures.append({"w": A.obj_name(w), "w'": A.obj_name(wp),
-                                         "u": u, "kind": "naturality"})
+    ids = [base.id_of(v) for v in F.values]
+
+    def points(wp, w):
+        # the points of hom(w', w) in order, so a point's index is its u
+        return base.hom(base.unit, A.hom(wp, w))
+
+    def natural(w, wp, pt):
+        # restriction along the point on the colimit side and on F
+        zmap = _induced(colimits[w], colimits[wp], ids,
+                        [_restrict(base, A.comp(wp, w, x), A.hom(w, x), pt)
+                         for x in range(n)], B)
+        fmap = _restrict(base, F.action[(wp, w)], F.values[w], pt)
+        return B.compose(comparisons[wp], zmap) == B.compose(fmap, comparisons[w])
+
+    if base.pointwise and all(natural(w, wp, points(wp, w)[u])
+                              for wp, w, u in enriched._generating_elements(A)):
+        return PresentationReport(n, ())
+    for w in range(n):
+        for wp in range(n):
+            for u, pt in enumerate(points(wp, w)):
+                if not natural(w, wp, pt):
+                    failures.append({"w": A.obj_name(w), "w'": A.obj_name(wp),
+                                     "u": u, "kind": "naturality"})
     return PresentationReport(n, tuple(failures))
 
 
@@ -458,6 +489,7 @@ class Ext:
         self.module = module if module is not None else diagram.target
         self._colimits = {}
         self._mors = {}
+        self._comparisons = {}
 
     def colimit(self, W: Presheaf) -> WColimit:
         if W not in self._colimits:
@@ -484,16 +516,19 @@ class Ext:
         return self._tensor_comparison(m, W, tensor_presheaf(m, W))
 
     def _tensor_comparison(self, m, W: Presheaf, mW: Presheaf):
-        B = self.module
-        F = self.diagram
-        src = self.colimit(mW)
-        base_wc = self.colimit(W)
-        legs = tuple(B.act_mor(F.source.base.id_of(m), base_wc.cocone.legs[x])
-                     for x in range(F.source.n_objects))
-        u = mediate(src, legs, B.act_ob(m, base_wc.apex), B)
-        if u is None:
-            raise InternalError("tensor comparison cocone failed")
-        return u
+        """``tensor_comparison`` with m ⊗ W given, memoized per (m, W)."""
+        if (m, W) not in self._comparisons:
+            B = self.module
+            F = self.diagram
+            src = self.colimit(mW)
+            base_wc = self.colimit(W)
+            legs = tuple(B.act_mor(F.source.base.id_of(m), base_wc.cocone.legs[x])
+                         for x in range(F.source.n_objects))
+            u = mediate(src, legs, B.act_ob(m, base_wc.apex), B)
+            if u is None:
+                raise InternalError("tensor comparison cocone failed")
+            self._comparisons[(m, W)] = u
+        return self._comparisons[(m, W)]
 
 
 def ext(F: MFunET, module=None) -> Ext:

@@ -1,13 +1,25 @@
 import inspect
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrichkit import finset
 from enrichkit.caps import Caps
+from enrichkit.corpus import CorpusSampler
+from enrichkit.enriched import mcat_from_fincat
+from enrichkit.fincat import chain_cat, parallel_pair
 from enrichkit.errors import Overflow, ShapeMismatch, SizeBound
 from enrichkit.finset import SkMap, SkSet
+from enrichkit.wcolim import (
+    canonical_presentation,
+    check_equivalence,
+    check_universal,
+    sample_probes,
+    weighted_colimit,
+)
 
 
 def test_product_cards_and_pairing():
@@ -357,3 +369,56 @@ def test_hom_maps_checks_the_cap_before_building_a_map(monkeypatch):
     with pytest.raises(SizeBound):
         finset.hom_maps(SkSet(40), SkSet(40))
     assert len(finset.hom_maps(SkSet(3), SkSet(3), Caps(max_search=27))) == 27
+
+
+# --- maps built without the range scan ----------------------------------------
+
+# the kernel functions that build through ``finset._made``, as its module
+# docstring names them
+MADE_SITES = {"compose", "product_map", "copair", "injection", "coproduct_map",
+              "coequalizer", "factor_through_coequalizer", "__getitem__"}
+
+
+def colimit_run():
+    """Seeded draws, a weighted colimit, its universal property, the
+    canonical presentation and the Ext/Res checks on fresh categories, as a
+    list of results that ends with the error raised, if any."""
+    out = []
+    try:
+        for seed, C in ((3, chain_cat(4)), (5, parallel_pair())):
+            A = mcat_from_fincat(C)
+            sampler = CorpusSampler(seed)
+            W, F = sampler.random_presheaf(A), sampler.random_diagram(A)
+            out += [W, F, sampler.presheaf_stats, sampler.diagram_stats]
+            wc = weighted_colimit(W, F)
+            out += [wc, check_universal(wc, sample_probes(wc, random.Random(seed), 10)),
+                    canonical_presentation(W), check_equivalence([(A, F, [W])])]
+    except Exception as e:  # noqa: BLE001 - the error is part of the result
+        out.append((type(e), str(e)))
+    return out
+
+
+def test_maps_built_unchecked_are_the_checked_ones(monkeypatch):
+    # every table ``_made`` takes is in range by construction: with the
+    # checking constructor in its place every result is the same
+    reached = set()
+
+    def checked(dom, cod, table):
+        reached.add(sys._getframe(1).f_code.co_name)
+        return SkMap(dom, cod, table)
+
+    made = colimit_run()
+    monkeypatch.setattr(finset, "_made", checked)
+    assert colimit_run() == made
+    assert reached == MADE_SITES
+    assert not isinstance(made[-1], tuple)
+
+
+def test_factor_refuses_a_projection_that_is_not_onto():
+    # a class that no element reaches would leave its entry unset
+    proj = SkMap(SkSet(2), SkSet(3), (0, 2))
+    h = SkMap(SkSet(2), SkSet(2), (1, 0))
+    with pytest.raises(ShapeMismatch, match="not onto"):
+        finset.factor_through_coequalizer(proj, h)
+    assert finset.factor_through_coequalizer(SkMap(SkSet(2), SkSet(2), (1, 0)), h) \
+        == SkMap(SkSet(2), SkSet(2), (0, 1))

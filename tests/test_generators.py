@@ -7,10 +7,13 @@ and composes right-nested words s∘r with s in S until nothing new appears.
 """
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
-from enrichkit import mfunctor, presheaf
+from enrichkit import enriched, mfunctor, presheaf, wcolim
+from enrichkit.cli import Builder, parse_spec
 from enrichkit.caps import Caps
 from enrichkit.corpus import CorpusSampler, terminal_weight
 from enrichkit.enriched import _generating_elements, mcat_from_fincat, opposite_mcat
@@ -19,6 +22,7 @@ from enrichkit.fincat import (
     discrete_cat,
     loop_cat,
     parallel_pair,
+    terminal_cat,
     validate_fincat,
     walking_arrow,
 )
@@ -36,7 +40,12 @@ from enrichkit.monoidal import (
 )
 from enrichkit.presheaf import check_presheaf_mor, validate_presheaf
 from enrichkit.tensored import RightTensorModule
-from enrichkit.wcolim import FinSetModule, hom_diagram, weighted_colimit
+from enrichkit.wcolim import (
+    FinSetModule,
+    canonical_presentation,
+    hom_diagram,
+    weighted_colimit,
+)
 from tests.test_fastpaths import brute_mfun_et_failure
 from tests.test_support import codiscrete, identity_components
 
@@ -347,3 +356,137 @@ def test_a_capped_colimit_sums_the_generator_relations_only():
     full = sum(2 * A.hom(x, y).card * 2 for x, y in A.support)
     assert (sum(p.card for p in wcs[0].witness.relation_parts), full) == (24, 68)
     assert (wcs[0].apex, wcs[0].witness.proj) == (wcs[1].apex, wcs[1].witness.proj)
+
+
+# --- the canonical presentation's naturality on the generators ----------------
+
+SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+# the shapes random_fincat draws
+SHAPES = [terminal_cat, walking_arrow, parallel_pair, lambda: chain_cat(3),
+          lambda: discrete_cat(["d0", "d1"]), lambda: loop_cat(2), lambda: loop_cat(3)]
+
+
+def opposite_fincat(c):
+    """The opposite of an ordinary finite category, as a FinCat of its own
+    (``opposite_mcat`` flips the base instead, which the presentation's
+    finite-set target does not take)."""
+    ms = range(c.n_morphisms)
+    return validate_fincat(
+        c.objects, [(c.mor_names[m], c.objects[c.cod(m)], c.objects[c.dom(m)]) for m in ms],
+        [(c.mor_names[f], c.mor_names[g], c.mor_names[c.compose(g, f)])
+         for g in ms for f in ms if c.dom(g) == c.cod(f)], name=f"{c.name}-op")
+
+
+def chain_weight(n, rng, cards=None):
+    """A weight on chain_cat(n) drawn as the colimit-chain benchmark draws
+    one: cards in 1..4 and a random map W(i+1) -> W(i) per step, composed
+    along x <= y."""
+    A = mcat_from_fincat(chain_cat(n))
+    cards = cards or [rng.randint(1, 4) for _ in range(n)]
+    steps = [[rng.randrange(cards[i]) for _ in range(cards[i + 1])] for i in range(n - 1)]
+    values = [SkSet(c) for c in cards]
+    action = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        table = []
+        for a in range(cards[y] if x <= y else 0):
+            for i in range(y - 1, x - 1, -1):
+                a = steps[i][a]
+            table.append(a)
+        action[(x, y)] = SkMap(SkSet(len(table)), values[x], tuple(table))
+    return validate_presheaf(A, values, action)
+
+
+def presentation_scans(W, monkeypatch):
+    """(report, naturality points evaluated) of canonical_presentation(W),
+    then of the full scan: the same call with the base's ``pointwise`` off,
+    where S must not be read."""
+    runs = []
+    with monkeypatch.context() as m:
+        induced = wcolim._induced
+
+        def counting(*args):
+            runs[-1][1] += 1
+            return induced(*args)
+
+        def run():
+            runs.append([None, 0])
+            runs[-1][0] = canonical_presentation(W)
+
+        m.setattr(wcolim, "_induced", counting)
+        run()
+        m.setattr(W.source.base, "pointwise", False)
+        m.setattr(enriched, "_generating_elements", None)
+        run()
+    return runs
+
+
+def assert_slice_is_the_full_scan(W, monkeypatch):
+    A = W.source
+    (got, sliced), (want, full) = presentation_scans(W, monkeypatch)
+    assert got == want and got.passed
+    # the full scan meets every point of every hom, the slice those of S
+    assert full == sum(A.hom(x, y).card for x, y in itertools.product(range(A.n_objects), repeat=2))
+    assert sliced == len(_generating_elements(A)) <= full
+
+
+def test_presentation_slice_on_the_shipped_weights(monkeypatch):
+    weights = []
+    for path in sorted(SPECS.glob("*.json")):
+        spec = parse_spec(path)
+        weights += [Builder(spec).weight(name) for name in spec.weights]
+    assert len(weights) >= 2
+    for W in weights:
+        assert_slice_is_the_full_scan(W, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_presentation_slice_on_seeded_chain_weights(n, monkeypatch):
+    rng = random.Random(n)
+    for _ in range(3):
+        assert_slice_is_the_full_scan(chain_weight(n, rng), monkeypatch)
+
+
+@pytest.mark.parametrize("index", range(len(SHAPES)))
+@pytest.mark.parametrize("op", [False, True])
+def test_presentation_slice_on_the_sampler_shapes(index, op, monkeypatch):
+    c = SHAPES[index]()
+    A = mcat_from_fincat(opposite_fincat(c) if op else c)
+    for seed in range(3):
+        sampler = CorpusSampler(seed)
+        for W in (terminal_weight(A), sampler.random_presheaf(A)):
+            assert_slice_is_the_full_scan(W, monkeypatch)
+
+
+def corrupted_at(monkeypatch, W, wp, w):
+    """Shift every entry of F's action restricted to the point of
+    hom(w', w), so naturality fails there and only there."""
+    restrict, action = wcolim._restrict, W.action[(wp, w)]
+
+    def corrupt(base, act, left, pt):
+        m = restrict(base, act, left, pt)
+        if act is not action:
+            return m
+        return SkMap(m.dom, m.cod, tuple((v + 1) % m.cod.card for v in m.table))
+
+    monkeypatch.setattr(wcolim, "_restrict", corrupt)
+
+
+def test_a_corrupted_generator_point_gives_the_full_scans_witnesses(monkeypatch):
+    W = chain_weight(5, random.Random(0), cards=[2, 3, 2, 3, 2])
+    corrupted_at(monkeypatch, W, 1, 2)
+    assert (1, 2, 0) in _generating_elements(W.source)
+    (got, sliced), (want, full) = presentation_scans(W, monkeypatch)
+    assert got == want
+    assert got.failures == ({"w": "2", "w'": "1", "u": 0, "kind": "naturality"},)
+    # the slice failed at its point, so the full scan ran after it
+    assert sliced > full
+
+
+def test_the_slice_reads_naturality_at_the_generators_only(monkeypatch):
+    # a corruption off S goes unseen by the slice: the induction needs F's
+    # laws, which a validated weight satisfies and the corruption breaks
+    W = chain_weight(5, random.Random(0), cards=[2, 3, 2, 3, 2])
+    corrupted_at(monkeypatch, W, 1, 3)
+    (got, _), (want, _) = presentation_scans(W, monkeypatch)
+    assert got.passed
+    assert want.failures == ({"w": "3", "w'": "1", "u": 0, "kind": "naturality"},)

@@ -2,8 +2,10 @@
 
 import ast
 import pathlib
+import re
 
 import enrichkit
+from enrichkit import finset
 
 SRC = pathlib.Path(enrichkit.__file__).parent
 
@@ -56,3 +58,32 @@ def test_no_module_level_memoization():
     # ``MCat.derived`` does) and dies with it; nested helpers that cache
     # within one call, as in ``mfunctor.action_laws``, are fine
     assert _module_level_caches() == set()
+
+
+def _made_references():
+    """(module, enclosing Class.function or function) for every use of the
+    name ``_made`` outside its own definition."""
+    out = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_made"
+                    or isinstance(child, ast.Attribute) and child.attr == "_made"):
+                out.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return out
+
+
+def test_unchecked_maps_are_built_only_where_the_finset_docstring_argues_it():
+    # ``finset._made`` skips the range scan; its module docstring gives the
+    # argument per call site, and no other module (no input path) may use it
+    named = set(re.findall(r"^- ``([\w.]+)``:", finset.__doc__, re.MULTILINE))
+    refs = _made_references()
+    assert {module for module, _ in refs} == {"finset"}
+    assert {scope for _, scope in refs} == named

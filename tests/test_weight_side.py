@@ -198,3 +198,33 @@ def test_discharged_pairs_give_the_full_presentation(name, seed):
             assert B.compose(w.proj, full_d0) == B.compose(w.proj, full_d1)
             assert len(w.relation_parts) == len(A.generator_pairs())
         assert res(G).phi == full_res_phi(G)
+
+
+# the distinct pairs (hom(x, y), x) over the support: chain4 has 10 pairs
+# and 4 of them, the parallel pair 3 and 3, loop3 1 and 1
+@pytest.mark.parametrize("name, comparisons", [("chain4", 4), ("parallel", 3), ("loop3", 1)])
+def test_res_builds_each_tensor_comparison_once(name, comparisons, monkeypatch):
+    # res asks for the comparison of (hom(x, y), Y(x)) once per y; Ext keeps
+    # it per (m, W), so it is mediated once per distinct pair
+    A = mcat_from_fincat(NAMED[name]())
+    F = CorpusSampler(1).random_diagram(A)
+    G = ext(F)
+    mediated = []
+    mediate = wcolim.mediate
+
+    def counting(*args):
+        mediated.append(args[0])
+        return mediate(*args)
+
+    monkeypatch.setattr(wcolim, "mediate", counting)
+    phi = res(G).phi
+    monkeypatch.undo()
+    keys = {(A.hom(x, y), x) for x, y in A.support}
+    # one mediator per structure map (Ext.on_mor) and one per comparison
+    assert len(keys) == comparisons
+    assert len(mediated) == len(A.support) + comparisons
+    assert set(G._comparisons) == {(m, yoneda_presheaf(A, x)) for m, x in keys}
+    fresh = ext(F)
+    for (m, W), u in G._comparisons.items():
+        assert u == fresh.tensor_comparison(m, W)
+    assert phi == full_res_phi(fresh)
