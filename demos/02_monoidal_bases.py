@@ -4,14 +4,13 @@ with the opposite construction.
 Run:  python demos/02_monoidal_bases.py
 """
 
-from enrichkit.corpus import s3_monoidal
+from pathlib import Path
+
+from enrichkit.cli import Builder, parse_spec
 from enrichkit.finset import SkMap, SkSet
-from enrichkit.monoidal import (
-    boolean_monoidal,
-    check_monoidal_probes,
-    finset_product_monoidal,
-    opposite_monoidal,
-)
+from enrichkit.monoidal import boolean_monoidal, finset_product_monoidal, opposite_monoidal
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 print("== the Boolean poset with meet ==")
 B = boolean_monoidal()
@@ -22,7 +21,7 @@ for a in B.objects():
 print("opposite equals itself (commutative):", opposite_monoidal(B) == B)
 
 print("\n== discrete S3: a genuinely non-symmetric base ==")
-M = s3_monoidal()
+M = Builder(parse_spec(SPECS / "s3_pair.json")).monoidal("s3_mul")
 c = M.carrier
 s12, s13 = c.obj("s12"), c.obj("s13")
 print("  s12·s13 =", c.obj_name(M.tensor_ob(s12, s13)))
@@ -41,6 +40,3 @@ print("  (2 x 3) x 2 == 2 x (3 x 2) on the nose:",
 swap = SkMap(SkSet(2), SkSet(2), (1, 0))
 rot = SkMap(SkSet(3), SkSet(3), (1, 2, 0))
 print("  (swap ⊗ rot) table:", FS.tensor_mor(swap, rot).table)
-print("  probe validation checked", check_monoidal_probes(FS, max_card=4,
-                                                          mor_samples=4),
-      "equations")

@@ -7,7 +7,9 @@ every hom-object of the chain from the presheaf category alone.
 Run:  python demos/03_presheaves_and_yoneda.py
 """
 
-from enrichkit.corpus import boolean_chain_mcat, s3_two_object_mcat
+from pathlib import Path
+
+from enrichkit.cli import Builder, parse_spec
 from enrichkit.presheaf import (
     check_fully_faithful,
     check_yoneda_lemma,
@@ -15,7 +17,10 @@ from enrichkit.presheaf import (
     yoneda,
 )
 
-for A in [boolean_chain_mcat(), s3_two_object_mcat()]:
+SPECS = Path(__file__).resolve().parent / "specs"
+
+for spec_file, name in [("boolean_chain.json", "chain2"), ("s3_pair.json", "pair")]:
+    A = Builder(parse_spec(SPECS / spec_file)).enriched(name)
     base = A.base
     print(f"== {A.name} over {base.name} ==")
     pscat = enumerate_presheaves(A)

@@ -12,6 +12,7 @@ from .fincat import (
     FinCat,
     FinFunctor,
     enumerate_functors,
+    fin_functor,
     validate_fincat,
 )
 from .finset import SkMap, SkSet, coequalizer, coproduct, product
@@ -24,7 +25,7 @@ from .monoidal import (
     validate_monoidal,
 )
 from .enriched import MCat, mcat_from_fincat, opposite_mcat, validate_mcat
-from .tensored import base_as_module, hom_object, hom_object_all, validate_module
+from .tensored import base_as_module, hom_object_all, validate_module
 from .mfunctor import (
     MFunET,
     enumerate_mfun_et,

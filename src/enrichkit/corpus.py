@@ -1,10 +1,9 @@
-"""Shipped test instances and the seeded random corpus.
+"""The seeded random corpus and the terminal family.
 
-The shipped instances are the ones the acceptance checks name: the Boolean
-2-chain, a two-object category enriched in the discrete symmetric group S3
-(a genuinely non-symmetric base), a one-object category over discrete C3,
-small Z_k one-object bases for mutation tests, and the idempotent-target
-instance that separates the compatibility square from the unit-action law.
+The shipped instances are the spec files (README "Shipped corpus"), which
+the installed package does not read.  Two instances are built here: discrete
+C3, one of the bases the sampler draws, and the identity/swap diagram that
+the colimit demos read (``swap_instance``).
 
 Random bases and enriched categories are rejection sampled from uniformly
 drawn type-correct tables.  A random presheaf or diagram needs a category
@@ -20,7 +19,6 @@ diagram are the family with every value a point (``terminal_family``).
 Attempts, acceptances and fallbacks are *reported*, never assumed.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -32,7 +30,6 @@ from .fincat import (
     chain_cat,
     discrete_cat,
     loop_cat,
-    monoid_cat,
     parallel_pair,
     terminal_cat,
     walking_arrow,
@@ -54,31 +51,12 @@ from .monoidal import (
 )
 from .presheaf import Presheaf, validate_presheaf
 from .search import all_hold, backtrack
-from .tensored import RightTensorModule, validate_module
+from .tensored import RightTensorModule
 from .wcolim import FinSetModule
 
 
 PRESHEAF_BUDGET = 400  # random enriched categories with more are rejected
 MAX_CARD = 3  # random presheaf and diagram values have cards 1..MAX_CARD
-
-S3_ELEMENTS = ["e", "s12", "s13", "s23", "r123", "r132"]
-S3_TABLE_ROWS = {
-    "e": ["e", "s12", "s13", "s23", "r123", "r132"],
-    "s12": ["s12", "e", "r132", "r123", "s23", "s13"],
-    "s13": ["s13", "r123", "e", "r132", "s12", "s23"],
-    "s23": ["s23", "r132", "r123", "e", "s13", "s12"],
-    "r123": ["r123", "s13", "s23", "s12", "r132", "e"],
-    "r132": ["r132", "s23", "s12", "s13", "e", "r123"],
-}
-
-
-def s3_mult():
-    return {(g, h): S3_TABLE_ROWS[g][S3_ELEMENTS.index(h)]
-            for g in S3_ELEMENTS for h in S3_ELEMENTS}
-
-
-def s3_monoidal():
-    return discrete_monoid_monoidal(S3_ELEMENTS, s3_mult(), "e", name="discrete-S3")
 
 
 def c3_mult():
@@ -88,82 +66,6 @@ def c3_mult():
 
 def c3_monoidal():
     return discrete_monoid_monoidal(["e", "g", "g2"], c3_mult(), "e", name="discrete-C3")
-
-
-def boolean_chain_mcat():
-    """The 2-chain a <= b enriched over the Boolean base."""
-    B = boolean_monoidal()
-    bc = B.carrier
-    one, zero = bc.obj("1"), bc.obj("0")
-    hom = {(0, 0): one, (0, 1): one, (1, 1): one, (1, 0): zero}
-    unit = {0: bc.mor("id_1"), 1: bc.mor("id_1")}
-    names = {(zero, zero): "id_0", (one, one): "id_1", (zero, one): "le01"}
-    comp = {xyz: bc.mor(names[slot_type(B, hom, xyz)])
-            for xyz in itertools.product(range(2), repeat=3)}
-    return validate_mcat(B, ["a", "b"], hom, unit, comp, name="bool-chain2")
-
-
-def s3_two_object_mcat(cross="s12"):
-    """Two objects with hom(x,y) = hom(y,x) = a transposition, diag = e."""
-    M = s3_monoidal()
-    mc = M.carrier
-    e = mc.obj("e")
-    c = mc.obj(cross)
-    hom = {(0, 0): e, (1, 1): e, (0, 1): c, (1, 0): c}
-    unit = {0: mc.id_of(e), 1: mc.id_of(e)}
-    comp = {xyz: mc.id_of(slot_type(M, hom, xyz)[0])
-            for xyz in itertools.product(range(2), repeat=3)}
-    return validate_mcat(M, ["x", "y"], hom, unit, comp, name="s3-pair")
-
-
-def c3_one_object_mcat():
-    """One object over discrete C3 with hom = e."""
-    M = c3_monoidal()
-    mc = M.carrier
-    e = mc.obj("e")
-    return validate_mcat(M, ["*"], {(0, 0): e}, {0: mc.id_of(e)},
-                         {(0, 0, 0): mc.id_of(e)}, name="c3-loop")
-
-
-def z2_two_object_mcat():
-    """Two objects over the one-object Z2 base, all structure maps r0."""
-    M = loop_monoidal(2)
-    r0 = M.carrier.mor("r0")
-    hom = {(x, y): 0 for x in range(2) for y in range(2)}
-    unit = {0: r0, 1: r0}
-    comp = {(x, y, z): r0 for x in range(2) for y in range(2) for z in range(2)}
-    return validate_mcat(M, ["x", "y"], hom, unit, comp, name="z2-pair")
-
-
-def idempotent_unit_instance():
-    """A one-object enriched category over the trivial base, and a module
-    whose carrier has a non-identity idempotent endomorphism.
-
-    The compatibility square alone admits the idempotent as an action map;
-    only the unit law rules it out.  This is the separating instance for
-    the unit-automatism experiment.
-    """
-    M = loop_monoidal(1)
-    A = validate_mcat(M, ["*"], {(0, 0): 0}, {0: 0}, {(0, 0, 0): 0},
-                      name="unit-probe")
-    idem = monoid_cat(["e", "z"], {("e", "e"): "e", ("e", "z"): "z",
-                                   ("z", "e"): "z", ("z", "z"): "z"},
-                      name="idempotent")
-    act_ob = {(0, 0): 0}
-    act_mor = {(0, h): h for h in range(idem.n_morphisms)}
-    B = validate_module(M, idem, act_ob, act_mor, name="idempotent-module")
-    return A, B
-
-
-def boolean_on_chain3_module():
-    """The Boolean base acting on the 3-chain: act(m, b) = b if m = 1 else 0."""
-    M = boolean_monoidal()
-    C = chain_cat(3)
-    act_ob = {(m, b): b if m == 1 else 0 for m in range(2) for b in range(3)}
-    chain_mor = {(C.dom(h), C.cod(h)): h for h in range(C.n_morphisms)}
-    act_mor = {(u, h): chain_mor[(act_ob[(M.dom(u), C.dom(h))], act_ob[(M.cod(u), C.cod(h))])]
-               for u in range(M.carrier.n_morphisms) for h in range(C.n_morphisms)}
-    return validate_module(M, C, act_ob, act_mor, name="bool-on-chain3")
 
 
 def swap_instance(caps: Caps = DEFAULT_CAPS):
@@ -190,19 +92,13 @@ def terminal_weight(A: MCat) -> Presheaf:
 
 def terminal_family(A: MCat, target, contra):
     """(values, actions) of the family of action maps into ``target`` with
-    every value a singleton: each action is the one map into a point."""
+    every value a singleton: each action is the one map into a point.
+    Over a table base a singleton is no object, so the base is refused."""
+    if A.base.is_finite:
+        raise ShapeMismatch(f"the terminal family needs a finite-set base, not {A.base.name!r}")
     values = [SkSet(1)] * A.n_objects
     cands = action_cands(A, target, values, contra)
     return values, {slot: maps[0] for slot, maps in cands.items()}
-
-
-def shipped_yoneda_corpus():
-    """(name, MCat) pairs for the Yoneda acceptance checks."""
-    return [
-        ("bool-chain2", boolean_chain_mcat()),
-        ("s3-pair", s3_two_object_mcat()),
-        ("c3-loop", c3_one_object_mcat()),
-    ]
 
 
 # --- random corpus -----------------------------------------------------------

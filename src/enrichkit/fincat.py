@@ -36,7 +36,6 @@ from .errors import (
     FunctorLawViolation,
     IllTypedComposite,
     MissingComposite,
-    ShapeMismatch,
     SizeBound,
     UnitViolation,
 )
@@ -536,14 +535,6 @@ def functor_laws(source: FinCat, target: FinCat):
 
     return [((g, f, source.compose(g, f)), law, (g, f))
             for g, f in source.composable_pairs()]
-
-
-def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
-    if f.target != g.source:
-        raise ShapeMismatch("functors are not composable")
-    return FinFunctor(f.source, g.target,
-                      tuple(g.ob_map[x] for x in f.ob_map),
-                      tuple(g.mor_map[m] for m in f.mor_map))
 
 
 def enumerate_functors(source: FinCat, target: FinCat,

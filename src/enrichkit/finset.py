@@ -188,14 +188,6 @@ def product(x: SkSet, y: SkSet, caps: Caps = DEFAULT_CAPS) -> SkSet:
     return _skset(card)
 
 
-def pair(i: int, j: int, y: SkSet) -> int:
-    return i * y.card + j
-
-
-def unpair(p: int, y: SkSet):
-    return divmod(p, y.card)
-
-
 def product_map(f: SkMap, g: SkMap, caps: Caps = DEFAULT_CAPS) -> SkMap:
     """f x g on the pair encoding (f acts on the left factor)."""
     dom = product(f.dom, g.dom, caps)

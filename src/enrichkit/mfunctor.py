@@ -35,7 +35,7 @@ from .errors import (
     SizeBound,
     UnitActionViolation,
 )
-from .fincat import FinCat, FinFunctor, family_category, fin_functor
+from .fincat import FinCat, FinFunctor, family_category
 from .search import backtrack, bounded_plans, check_family, failures, mor_failures
 
 
@@ -161,13 +161,6 @@ def validate_mfun_et(source, target, ob_map, phi, name="",
         (UnitActionViolation, "unit action is not the identity", unit)),
         source.cell_names, generator_laws(source, target, ob_map, False, unit, compat))
     return MFunET(source, target, ob_map, phi, name=name)
-
-
-def mfun_et_laws(source, target, ob_map):
-    """The functor laws as two law tables (compat, unit): ``action_laws``
-    read covariantly."""
-    unit, compat = action_laws(source, target, ob_map, False)
-    return compat, unit
 
 
 def mfun_square_laws(f: MFunET, g: MFunET):
@@ -397,14 +390,3 @@ def measure_unit_automatism(source, target, caps: Caps = DEFAULT_CAPS):
             witnesses.append({"ob_map": tuple(target.obj_name(v) for v in ob_map),
                               "x": source.obj_name(cell[0])})
     return candidates, violations, witnesses
-
-
-def identity_mfun_tt(module) -> MFunTT:
-    """The identity functor of a finite module with identity structure maps."""
-    carrier = module.carrier
-    functor = fin_functor(carrier, carrier,
-                          tuple(range(carrier.n_objects)),
-                          tuple(range(carrier.n_morphisms)))
-    sigma = {(m, a): carrier.id_of(module.act_ob(m, a))
-             for m in module.base.objects() for a in range(carrier.n_objects)}
-    return validate_mfun_tt(module, module, functor, sigma)

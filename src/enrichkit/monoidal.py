@@ -15,8 +15,6 @@ code only calls these, so enriched categories, modules and presheaves work
 identically over finite tables and over skeletal finite sets.
 """
 
-import itertools
-
 from . import finset
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -127,9 +125,6 @@ class SkSetMonStr:
         empty set is the unit and nothing is null."""
         return self.kind == "product" and a.card == 0
 
-    def probe_objects(self, max_card=3):
-        return [SkSet(c) for c in range(max_card + 1)]
-
     def __eq__(self, other):
         if not isinstance(other, SkSetMonStr):
             return False if isinstance(other, MonStr) else NotImplemented
@@ -177,63 +172,6 @@ def validate_monoidal(carrier: FinCat, unit, tensor_ob, tensor_mor, name="") -> 
     M = MonStr(carrier, u, tob, tmor, name=name)
     check_action(M, carrier, tob, tmor, _TENSOR_LAWS, two_sided=True)
     return M
-
-
-def check_monoidal_probes(M: SkSetMonStr, max_card=3, mor_samples=8):
-    """Probe-set validation of a computable monoidal structure.
-
-    Returns the number of probe equations checked; raises on a violation.
-    """
-    obs = M.probe_objects(max_card)
-    checked = 0
-    for a in obs:
-        if M.tensor_ob(M.unit, a) != a or M.tensor_ob(a, M.unit) != a:
-            raise UnitViolation("unit law fails on probe",
-                                witness={"object": M.carrier.obj_name(a)})
-        checked += 1
-    for a in obs:
-        for b in obs:
-            for c in obs:
-                if M.tensor_ob(M.tensor_ob(a, b), c) != M.tensor_ob(a, M.tensor_ob(b, c)):
-                    raise AssociativityViolation("object probe fails", witness={})
-                checked += 1
-    mors = []
-    for a in obs:
-        for b in obs:
-            maps = list(itertools.islice(finset.all_maps(a, b), mor_samples))
-            mors.extend(maps)
-    for u in mors:
-        for v in mors:
-            uv = M.tensor_mor(u, v)
-            if (uv.dom != M.tensor_ob(u.dom, v.dom)
-                    or uv.cod != M.tensor_ob(u.cod, v.cod)):
-                raise IllTypedComposite("morphism tensor probe ill-typed", witness={})
-            checked += 1
-    for u in mors[:mor_samples]:
-        for v in mors[:mor_samples]:
-            for w in mors[:mor_samples]:
-                lhs = M.tensor_mor(M.tensor_mor(u, v), w)
-                rhs = M.tensor_mor(u, M.tensor_mor(v, w))
-                if lhs != rhs:
-                    raise AssociativityViolation("morphism tensor probe fails", witness={})
-                checked += 1
-    # interchange on composable probe pairs
-    for a in obs:
-        for b in obs:
-            for c in obs:
-                fs = list(itertools.islice(finset.all_maps(a, b), 3))
-                gs = list(itertools.islice(finset.all_maps(b, c), 3))
-                for f in fs:
-                    for g in gs:
-                        for fp in fs:
-                            for gp in gs:
-                                lhs = M.tensor_mor(finset.compose(g, f), finset.compose(gp, fp))
-                                rhs = finset.compose(M.tensor_mor(g, gp), M.tensor_mor(f, fp))
-                                if lhs != rhs:
-                                    raise BifunctorialityViolation(
-                                        "interchange probe fails", witness={})
-                                checked += 1
-    return checked
 
 
 def opposite_monoidal(M):

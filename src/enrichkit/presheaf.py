@@ -3,10 +3,10 @@
 A presheaf is stored in unfolded form: values f(x) in the base plus action
 maps f(y) ⊗ hom(x,y) -> f(x) using the base's own tensor.  The translation
 to a functor out of the opposite enriched category over the opposite base
-is a tested dictionary (``presheaf_to_mfun_et``), not the storage format:
-the unfolded form is what the Yoneda maps and the colimit layer consume,
-and keeping it primary avoids double-op bookkeeping, which is the main
-foot-gun of the subject.
+is a dictionary the tests check (``presheaf_to_mfun_et`` in
+``tests/instances.py``), not the storage format: the unfolded form is what
+the Yoneda maps and the colimit layer consume, and keeping it primary
+avoids double-op bookkeeping, which is the main foot-gun of the subject.
 
 The laws are not restated here.  The unfolded form is a contravariant
 family of action maps into the base acting on itself from the right,
@@ -40,7 +40,7 @@ from .mfunctor import (
     validate_mfun_et,
 )
 from .search import check_family, mor_failures
-from .tensored import RightTensorModule, base_as_module, validate_module
+from .tensored import RightTensorModule, validate_module
 from .fincat import family_category
 
 
@@ -95,12 +95,6 @@ def check_presheaf_mor(f: Presheaf, g: Presheaf, components):
     laws = presheaf_square_laws(f, g)
     return mor_failures(f.source, f.source.base, f.values, g.values, laws, components,
                         generator_squares(f.source, laws))
-
-
-def presheaf_laws(source: MCat, values):
-    """The presheaf laws as two law tables (unit, compat): ``action_laws``
-    read contravariantly."""
-    return action_laws(source, RightTensorModule(source.base), values, True)
 
 
 def presheaf_square_laws(f: Presheaf, g: Presheaf):
@@ -357,26 +351,3 @@ def check_fully_faithful(pscat: PresheafCategory,
 
 def _objects_isomorphic(base, a, b):
     return any(base.is_iso(f) for f in base.hom(a, b))
-
-
-# --- the op-dictionary -------------------------------------------------------
-
-def presheaf_to_mfun_et(f: Presheaf, source_op: MCat) -> MFunET:
-    """A presheaf on A is exactly a functor from A-op (over the opposite
-    base) to the base acting on itself through the opposite tensor.
-
-    source_op must be opposite_mcat(f.source); it is passed in so the
-    round trip lands on the caller's instances.
-    """
-    target = base_as_module(source_op.base)
-    n = f.source.n_objects
-    phi = {(u, v): f.action[(v, u)] for u in range(n) for v in range(n)}
-    return validate_mfun_et(source_op, target, f.values, phi)
-
-
-def mfun_et_to_presheaf(g: MFunET, source: MCat) -> Presheaf:
-    """Inverse dictionary; source must be the category g's source is the
-    opposite of."""
-    n = source.n_objects
-    action = {(x, y): g.phi[(y, x)] for x in range(n) for y in range(n)}
-    return validate_presheaf(source, g.ob_map, action)

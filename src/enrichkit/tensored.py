@@ -1,9 +1,9 @@
 """Left-tensored categories: strict unital modules over a monoidal base.
 
 Unitality is demanded on the nose, so the automatic-unit arguments of the
-functor layer are checkable as equalities.  ``hom_object`` searches the
-finite base for an object representing m -> Hom(m ⊗ x, y); when the functor
-is not representable it returns None rather than failing.
+functor layer are checkable as equalities.  ``hom_object_all`` searches
+the finite base for the objects representing m -> Hom(m ⊗ x, y); when the
+functor is not representable it returns no object rather than failing.
 
 A left-tensored category is a category through its carrier
 (``bind_carrier``) plus its ``base`` and the action ``act_ob``/``act_mor``;
@@ -222,19 +222,13 @@ def check_action(base, carrier, aob, amor, laws, two_sided=False):
                          carrier.mor_name(h))
 
 
-def hom_object(mod, x, y):
-    """First representing object (declaration order) for m -> Hom(m⊗x, y).
-
-    Returns (h, universal map act(h, x) -> y) or None.  Universality means
-    composition with the universal map bijects Hom_base(m, h) with
-    Hom_carrier(act(m, x), y) for every base object m.
-    """
-    found = hom_object_all(mod, x, y)
-    return found[0] if found else None
-
-
 def hom_object_all(mod, x, y):
-    """All representing objects with one universal map each."""
+    """All representing objects for m -> Hom(m⊗x, y), in declaration order,
+    with one universal map act(h, x) -> y each.
+
+    Universality means composition with the universal map bijects
+    Hom_base(m, h) with Hom_carrier(act(m, x), y) for every base object m.
+    """
     base = mod.base
     out = []
     for h in base.objects():

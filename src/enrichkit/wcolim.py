@@ -510,13 +510,10 @@ class Ext:
             self._mors[t] = u
         return self._mors[t]
 
-    def tensor_comparison(self, m, W: Presheaf):
-        """The canonical map colim_{m⊗W}(F) -> act(m, colim_W(F)); an
-        isomorphism because the tensor preserves colimits in each argument."""
-        return self._tensor_comparison(m, W, tensor_presheaf(m, W))
-
-    def _tensor_comparison(self, m, W: Presheaf, mW: Presheaf):
-        """``tensor_comparison`` with m ⊗ W given, memoized per (m, W)."""
+    def tensor_comparison(self, m, W: Presheaf, mW: Presheaf):
+        """The canonical map colim_{m⊗W}(F) -> act(m, colim_W(F)), with
+        mW = m ⊗ W given, memoized per (m, W); an isomorphism because the
+        tensor preserves colimits in each argument."""
         if (m, W) not in self._comparisons:
             B = self.module
             F = self.diagram
@@ -568,7 +565,7 @@ def res(G: Ext) -> MFunET:
             # hom(x,y) ⊗ Y(x) is both the structure map's source and the
             # weight whose colimit the tensor comparison starts from
             c = structure_presheaf_mor(A, x, y)
-            cmp = G._tensor_comparison(A.hom(x, y), ys[x], c.source)
+            cmp = G.tensor_comparison(A.hom(x, y), ys[x], c.source)
             if not B.is_iso(cmp):
                 raise InternalError("tensor comparison is not invertible")
             phi[(x, y)] = B.compose(G.on_mor(c), B.inverse(cmp))

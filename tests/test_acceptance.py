@@ -13,11 +13,8 @@ from enrichkit import finset
 from enrichkit.cli import parse_spec, run
 from enrichkit.corpus import (
     CorpusSampler,
-    idempotent_unit_instance,
-    shipped_yoneda_corpus,
     swap_instance,
     terminal_weight,
-    z2_two_object_mcat,
 )
 from enrichkit.enriched import mcat_from_fincat, validate_mcat
 from enrichkit.errors import (
@@ -50,6 +47,7 @@ from enrichkit.wcolim import (
     sample_probes,
     weighted_colimit,
 )
+from instances import idempotent_unit_instance, shipped_yoneda_corpus, z2_two_object_mcat
 
 SEED = 20240601
 RANDOM_YONEDA_INSTANCES = 100

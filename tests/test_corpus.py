@@ -23,8 +23,9 @@ from enrichkit.corpus import (
     MAX_CARD,
     CorpusSampler,
     SampleStats,
+    swap_instance,
+    terminal_family,
     terminal_weight,
-    z2_two_object_mcat,
 )
 from enrichkit.enriched import _generating_elements, mcat_from_fincat, opposite_mcat
 from enrichkit.errors import ShapeMismatch
@@ -37,7 +38,8 @@ from enrichkit.fincat import (
     walking_arrow,
 )
 from enrichkit.finset import SkMap, SkSet
-from enrichkit.wcolim import FinSetModule
+from enrichkit.wcolim import FinSetModule, weighted_colimit
+from instances import boolean_chain_mcat, z2_two_object_mcat
 from tests.test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure
 
 SHAPES = [terminal_cat(), walking_arrow(), parallel_pair(), chain_cat(3),
@@ -195,3 +197,17 @@ def test_draws_over_a_base_that_is_not_pointwise_raise_one_line():
         with pytest.raises(ShapeMismatch) as exc:
             draw(A)
         assert str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_terminal_family_refuses_a_table_base_in_one_line():
+    # a singleton is no object of a table base; the finite-set bases are
+    # unchanged: the swap instance's conical colimit still has one element
+    for A in (boolean_chain_mcat(), z2_two_object_mcat()):
+        with pytest.raises(ShapeMismatch) as exc:
+            terminal_weight(A)
+        assert repr(A.base.name) in str(exc.value) and "\n" not in str(exc.value)
+        with pytest.raises(ShapeMismatch):
+            terminal_family(A, FinSetModule(), False)
+    A, W, F = swap_instance()
+    assert W.values == (SkSet(1),) * A.n_objects
+    assert weighted_colimit(W, F).apex.card == 1

@@ -3,11 +3,6 @@ import pytest
 from enrichkit.corpus import (
     CorpusSampler,
     SampleStats,
-    boolean_chain_mcat,
-    c3_one_object_mcat,
-    s3_monoidal,
-    s3_two_object_mcat,
-    z2_two_object_mcat,
 )
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import (
@@ -18,6 +13,13 @@ from enrichkit.errors import (
 )
 from enrichkit.fincat import parallel_pair, terminal_cat, validate_fincat, walking_arrow
 from enrichkit.monoidal import boolean_monoidal, loop_monoidal, opposite_monoidal
+from instances import (
+    boolean_chain_mcat,
+    c3_one_object_mcat,
+    s3_monoidal,
+    s3_two_object_mcat,
+    z2_two_object_mcat,
+)
 
 
 def test_one_object_over_s3_valid():

@@ -13,13 +13,7 @@ from pathlib import Path
 import pytest
 
 from enrichkit.cli import Builder, parse_spec
-from enrichkit.corpus import (
-    CorpusSampler,
-    boolean_chain_mcat,
-    idempotent_unit_instance,
-    s3_monoidal,
-    z2_two_object_mcat,
-)
+from enrichkit.corpus import CorpusSampler
 from enrichkit.enriched import validate_mcat
 from enrichkit.errors import (
     AssociativityViolation,
@@ -49,6 +43,12 @@ from enrichkit.monoidal import (
 )
 from enrichkit.presheaf import check_presheaf_mor, enumerate_presheaves, validate_presheaf
 from enrichkit.tensored import base_as_module, validate_module
+from instances import (
+    boolean_chain_mcat,
+    idempotent_unit_instance,
+    s3_monoidal,
+    z2_two_object_mcat,
+)
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 

@@ -10,7 +10,6 @@ and raise the same error on the same defect.
 import pytest
 
 from enrichkit.caps import Caps
-from enrichkit.corpus import boolean_chain_mcat, s3_monoidal, z2_two_object_mcat
 from enrichkit.enriched import opposite_mcat, validate_mcat
 from enrichkit.errors import (
     AssociativityViolation,
@@ -26,6 +25,7 @@ from enrichkit.mfunctor import enumerate_mfun_et
 from enrichkit.monoidal import boolean_monoidal, opposite_monoidal
 from enrichkit.presheaf import enumerate_presheaves
 from enrichkit.tensored import base_as_module
+from instances import boolean_chain_mcat, s3_monoidal, z2_two_object_mcat
 from tests.test_fastpaths import shipped_categories
 from tests.test_reduced_checks import chain_mcat, ladder_rungs
 

@@ -18,12 +18,6 @@ from enrichkit.cli import Builder, parse_spec
 from enrichkit.corpus import (
     PRESHEAF_BUDGET,
     CorpusSampler,
-    boolean_chain_mcat,
-    c3_one_object_mcat,
-    idempotent_unit_instance,
-    s3_monoidal,
-    s3_two_object_mcat,
-    z2_two_object_mcat,
 )
 from enrichkit.enriched import (
     MCat,
@@ -47,6 +41,14 @@ from enrichkit.errors import (
 from enrichkit.fincat import chain_cat, loop_cat, parallel_pair, walking_arrow
 from enrichkit.finset import SkSet
 from enrichkit.presheaf import enumerate_presheaves
+from instances import (
+    boolean_chain_mcat,
+    c3_one_object_mcat,
+    idempotent_unit_instance,
+    s3_monoidal,
+    s3_two_object_mcat,
+    z2_two_object_mcat,
+)
 from tests.test_cli import SPECS
 
 

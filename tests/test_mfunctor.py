@@ -1,11 +1,5 @@
 import pytest
 
-from enrichkit.corpus import (
-    boolean_chain_mcat,
-    idempotent_unit_instance,
-    s3_monoidal,
-    z2_two_object_mcat,
-)
 from enrichkit.enriched import opposite_mcat, validate_mcat
 from enrichkit.errors import (
     CocycleViolation,
@@ -17,20 +11,29 @@ from enrichkit.fincat import fin_functor, validate_fincat
 from enrichkit.mfunctor import (
     check_mfun_mor,
     enumerate_mfun_et,
-    identity_mfun_tt,
     measure_unit_automatism,
     validate_mfun_et,
     validate_mfun_tt,
 )
 from enrichkit.monoidal import boolean_monoidal, loop_monoidal, opposite_monoidal
-from enrichkit.presheaf import enumerate_presheaves, mfun_et_to_presheaf
+from enrichkit.presheaf import enumerate_presheaves
 from enrichkit.tensored import base_as_module
+from instances import (
+    boolean_chain_mcat,
+    idempotent_unit_instance,
+    mfun_et_to_presheaf,
+    s3_monoidal,
+    z2_two_object_mcat,
+)
 
 
 def test_identity_mfun_tt_valid():
     for M in [boolean_monoidal(), s3_monoidal(), loop_monoidal(3)]:
         mod = base_as_module(M)
-        tt = identity_mfun_tt(mod)
+        c = M.carrier
+        functor = fin_functor(c, c, range(c.n_objects), range(c.n_morphisms))
+        sigma = {(m, a): c.id_of(mod.act_ob(m, a)) for m in M.objects() for a in M.objects()}
+        tt = validate_mfun_tt(mod, mod, functor, sigma)
         assert all(M.carrier.is_iso(s) for s in tt.sigma.values())
 
 

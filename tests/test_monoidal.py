@@ -1,6 +1,6 @@
 import pytest
 
-from enrichkit.corpus import c3_monoidal, s3_monoidal, s3_mult
+from enrichkit.corpus import c3_monoidal
 from enrichkit.errors import (
     AssociativityViolation,
     BifunctorialityViolation,
@@ -10,7 +10,6 @@ from enrichkit.fincat import loop_cat
 from enrichkit.monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
-    check_monoidal_probes,
     discrete_monoid_monoidal,
     finset_coproduct_monoidal,
     finset_product_monoidal,
@@ -18,6 +17,7 @@ from enrichkit.monoidal import (
     opposite_monoidal,
     validate_monoidal,
 )
+from instances import check_monoidal_probes, s3_monoidal, s3_mult
 
 
 def test_boolean_meet_valid():

@@ -3,27 +3,18 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrichkit.corpus import (
-    CorpusSampler,
-    boolean_chain_mcat,
-    c3_one_object_mcat,
-    s3_two_object_mcat,
-    z2_two_object_mcat,
-)
+from enrichkit.corpus import CorpusSampler
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import InternalError
 from enrichkit.fincat import chain_cat, loop_cat, parallel_pair, walking_arrow
-from enrichkit.mfunctor import MFunET, mfun_et_laws, mfun_square_laws, validate_mfun_et
+from enrichkit.mfunctor import MFunET, mfun_square_laws, validate_mfun_et
 from enrichkit.monoidal import boolean_monoidal
 from enrichkit.presheaf import (
     Presheaf,
     check_fully_faithful,
     check_yoneda_lemma,
     enumerate_presheaves,
-    mfun_et_to_presheaf,
-    presheaf_laws,
     presheaf_square_laws,
-    presheaf_to_mfun_et,
     tensor_presheaf,
     validate_presheaf,
     yoneda,
@@ -31,6 +22,16 @@ from enrichkit.presheaf import (
 )
 from enrichkit.search import failures
 from enrichkit.tensored import base_as_module
+from instances import (
+    boolean_chain_mcat,
+    c3_one_object_mcat,
+    mfun_et_laws,
+    mfun_et_to_presheaf,
+    presheaf_laws,
+    presheaf_to_mfun_et,
+    s3_two_object_mcat,
+    z2_two_object_mcat,
+)
 from tests.test_support import codiscrete, presheaves
 
 

@@ -13,14 +13,8 @@ import itertools
 import random
 
 from enrichkit.corpus import (
-    S3_ELEMENTS,
-    boolean_chain_mcat,
     c3_monoidal,
     c3_mult,
-    idempotent_unit_instance,
-    s3_monoidal,
-    s3_mult,
-    z2_two_object_mcat,
 )
 from enrichkit.enriched import mcat_from_fincat, validate_mcat
 from enrichkit.errors import (
@@ -34,7 +28,7 @@ from enrichkit.errors import (
     ValidationError,
 )
 from enrichkit.fincat import loop_cat, monoid_cat, validate_fincat, walking_arrow
-from enrichkit.mfunctor import enumerate_mfun_et, mfun_et_laws, mfun_square_laws
+from enrichkit.mfunctor import enumerate_mfun_et, mfun_square_laws
 from enrichkit.monoidal import (
     boolean_monoidal,
     chain_meet_monoidal,
@@ -43,9 +37,19 @@ from enrichkit.monoidal import (
     opposite_monoidal,
     validate_monoidal,
 )
-from enrichkit.presheaf import enumerate_presheaves, presheaf_laws, presheaf_square_laws
+from enrichkit.presheaf import enumerate_presheaves, presheaf_square_laws
 from enrichkit.tensored import base_as_module, validate_module
 from enrichkit.wcolim import FinSetModule, PresheafModule
+from instances import (
+    S3_ELEMENTS,
+    boolean_chain_mcat,
+    idempotent_unit_instance,
+    mfun_et_laws,
+    presheaf_laws,
+    s3_monoidal,
+    s3_mult,
+    z2_two_object_mcat,
+)
 from tests.test_fastpaths import codiscrete_pscat, shipped_categories
 
 

@@ -87,3 +87,92 @@ def test_unchecked_maps_are_built_only_where_the_finset_docstring_argues_it():
     refs = _made_references()
     assert {module for module, _ in refs} == {"finset"}
     assert {scope for _, scope in refs} == named
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _module_level_definitions(tree):
+    """(name, first line, last line) of each module-level function, class
+    and constant; dunder names such as ``__version__`` are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        out += [(name, first, node.end_lineno) for name in names
+                if not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
+def _bound(function):
+    """The names a function binds itself: its parameters and the names it
+    stores to outside its nested functions."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    work = list(ast.iter_child_nodes(function))
+    while work:
+        node = work.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            work += ast.iter_child_nodes(node)
+    return names
+
+
+def _free_loads(tree):
+    """(line, name) of every ``Name`` load that no enclosing function binds."""
+    out = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, local | _bound(child))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id not in local:
+                    out.append((child.lineno, child.id))
+            else:
+                visit(child, local)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _unread_definitions():
+    """module.name for every module-level definition of the package with no
+    reader in src/ (outside its own definition), demos/ or bench/.  A reader
+    is a ``Name`` load that no enclosing function binds, a ``from ...
+    import`` of the name or a ``module.name`` attribute; an ``__init__``
+    export is an import."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))]
+    reads = {}  # name -> [(module the read is in, or None, line)]
+    for module, tree in [*modules.items(), *((None, t) for t in others)]:
+        for line, name in _free_loads(tree):
+            reads.setdefault(name, []).append((module, line))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append((None, 0))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                reads.setdefault(node.attr, []).append((None, 0))
+    return {f"{module}.{name}"
+            for module, tree in modules.items()
+            for name, first, last in _module_level_definitions(tree)
+            if all(where == module and first <= line <= last
+                   for where, line in reads.get(name, []))}
+
+
+def test_every_module_level_definition_has_a_reader_outside_the_tests():
+    # test-only fixtures and readings live in tests/instances.py; a name the
+    # package, the demos and the benchmark never read is dead code there
+    assert _unread_definitions() == set()

@@ -13,14 +13,13 @@ import itertools
 import pytest
 
 from enrichkit import enriched, finset
-from enrichkit.corpus import CorpusSampler, terminal_weight, z2_two_object_mcat
+from enrichkit.corpus import CorpusSampler, terminal_weight
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import CompatibilityViolation, UnitActionViolation
 from enrichkit.fincat import chain_cat, discrete_cat, loop_cat, parallel_pair, walking_arrow
 from enrichkit.finset import SkSet
 from enrichkit.mfunctor import (
     check_mfun_mor,
-    mfun_et_laws,
     mfun_square_laws,
     validate_mfun_et,
 )
@@ -34,14 +33,13 @@ from enrichkit.monoidal import (
 )
 from enrichkit.presheaf import (
     check_presheaf_mor,
-    presheaf_laws,
     presheaf_square_laws,
-    presheaf_to_mfun_et,
     validate_presheaf,
     yoneda_presheaf,
 )
 from enrichkit.tensored import base_as_module
 from enrichkit.wcolim import FinSetModule, hom_diagram, structure_presheaf_mor
+from instances import mfun_et_laws, presheaf_laws, presheaf_to_mfun_et, z2_two_object_mcat
 from tests.test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure, outcome
 from tests.test_reduced_checks import chain_mcat
 

@@ -155,7 +155,8 @@ def full_res_phi(G):
     B = G.module
     phi = {}
     for x, y in itertools.product(range(A.n_objects), repeat=2):
-        cmp = G.tensor_comparison(A.hom(x, y), yoneda_presheaf(A, x))
+        m, Y = A.hom(x, y), yoneda_presheaf(A, x)
+        cmp = G.tensor_comparison(m, Y, tensor_presheaf(m, Y))
         c = wcolim._presheaf_mor(*structure_key(A, x, y))
         phi[(x, y)] = B.compose(G.on_mor(c), B.inverse(cmp))
     return phi
@@ -226,5 +227,5 @@ def test_res_builds_each_tensor_comparison_once(name, comparisons, monkeypatch):
     assert set(G._comparisons) == {(m, yoneda_presheaf(A, x)) for m, x in keys}
     fresh = ext(F)
     for (m, W), u in G._comparisons.items():
-        assert u == fresh.tensor_comparison(m, W)
+        assert u == fresh.tensor_comparison(m, W, tensor_presheaf(m, W))
     assert phi == full_res_phi(fresh)
