@@ -49,7 +49,7 @@ from .monoidal import (
     discrete_monoid_monoidal,
     loop_monoidal,
 )
-from .presheaf import Presheaf, validate_presheaf
+from .presheaf import Presheaf, enumerate_presheaves, validate_presheaf
 from .search import all_hold, backtrack
 from .tensored import RightTensorModule
 from .wcolim import FinSetModule
@@ -68,11 +68,11 @@ def c3_monoidal():
     return discrete_monoid_monoidal(["e", "g", "g2"], c3_mult(), "e", name="discrete-C3")
 
 
-def swap_instance(caps: Caps = DEFAULT_CAPS):
+def swap_instance():
     """The parallel-pair category with the identity/swap diagram and the
     terminal weight; its conical colimit has one element."""
-    A = mcat_from_fincat(parallel_pair(), caps)
-    B = FinSetModule(caps)
+    A = mcat_from_fincat(parallel_pair())
+    B = FinSetModule()
     tw = terminal_weight(A)
     vals = [SkSet(2), SkSet(2)]
     phi = {
@@ -161,8 +161,6 @@ class CorpusSampler:
         ``slot_type`` (a slot with none rejects the attempt); the laws are
         left to the validator.  An enumeration over the caps raises SizeBound.
         """
-        from .presheaf import enumerate_presheaves
-
         unit_ok = [h for h in M.objects() if M.hom(M.unit, h)]
         while True:
             self.mcat_stats.attempts += 1

@@ -345,9 +345,6 @@ class MFunCategory:
         self.morphisms = tuple(morphisms)
         self.fincat = fincat
 
-    def mors_between(self, i, j):
-        return self.fincat.hom(i, j)
-
 
 def enumerate_mfun_et(source, target, caps: Caps = DEFAULT_CAPS) -> MFunCategory:
     """Complete duplicate-free list of enriched-to-tensored functors in

@@ -25,7 +25,7 @@ from .errors import (
     MissingComposite,
     UnitViolation,
 )
-from .fincat import FinCat, bind_carrier, discrete_cat, validate_fincat
+from .fincat import FinCat, bind_carrier, chain_cat, discrete_cat, loop_cat, validate_fincat
 from .finset import SkSet, SkSetCat
 from .tensored import check_action
 
@@ -222,24 +222,22 @@ def discrete_monoid_monoidal(element_names, mult, unit_name, name="") -> MonStr:
                              name=name or "discrete-monoid")
 
 
-def loop_monoidal(k: int, name="") -> MonStr:
+def loop_monoidal(k: int) -> MonStr:
     """Z_k as a one-object strict monoidal category: tensor = composition.
 
     By the interchange law this is the only monoidal structure a one-object
     carrier admits, and it forces the monoid to be commutative.
     """
-    from .fincat import loop_cat
     carrier = loop_cat(k)
     tensor_ob = [("*", "*", "*")]
     tensor_mor = [(f"r{a}", f"r{b}", f"r{(a + b) % k}")
                   for a in range(k) for b in range(k)]
     return validate_monoidal(carrier, "*", tensor_ob, tensor_mor,
-                             name=name or f"loop{k}")
+                             name=f"loop{k}")
 
 
 def chain_meet_monoidal(n: int) -> MonStr:
     """The chain poset 0 <= ... <= n-1 with tensor = min and unit = top."""
-    from .fincat import chain_cat
     carrier = chain_cat(n)
     mname = {(i, j): (f"le{i}{j}" if i != j else f"id_{i}")
              for i in range(n) for j in range(i, n)}

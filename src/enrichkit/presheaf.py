@@ -15,8 +15,11 @@ and compatibility laws, morphism square and enumeration loop are the ones
 ``mfunctor`` states for functors, read with the ends of each slot swapped.
 
 Over a finite base the whole presheaf category is enumerated, returned as a
-validated FinCat together with its left-tensoring.  Over the finite-sets
-base presheaves stay structured values (see the colimit layer).
+validated FinCat together with its left-tensoring, on which the Yoneda
+lemma and full faithfulness are checked as representability: F(x)
+represents m -> Hom(m ⊗ Y(x), F) with F's action as the universal map
+(``tensored.represents``).  Over the finite-sets base presheaves stay
+structured values (see the colimit layer).
 """
 
 from dataclasses import dataclass
@@ -40,7 +43,7 @@ from .mfunctor import (
     validate_mfun_et,
 )
 from .search import check_family, mor_failures
-from .tensored import RightTensorModule, validate_module
+from .tensored import RightTensorModule, hom_object_all, represents, validate_module
 from .fincat import family_category
 
 
@@ -153,9 +156,6 @@ class PresheafCategory:
             raise InternalError("presheaf morphism missing from a complete enumeration")
         return k
 
-    def mors_between(self, i, j):
-        return self.fincat.hom(i, j)
-
     def as_module(self):
         """The left-tensoring of the enumerated category, as a validated
         finite module over the base: u ⊗ t has the components of t
@@ -197,21 +197,25 @@ def enumerate_presheaves(source: MCat, caps: Caps = DEFAULT_CAPS) -> PresheafCat
 
 def yoneda(pscat: PresheafCategory, caps: Caps = DEFAULT_CAPS) -> MFunET:
     """The Yoneda embedding of A into its enumerated presheaf category,
-    revalidated as an enriched-to-tensored functor.
+    revalidated as an enriched-to-tensored functor: its structure map
+    hom(x, y) ⊗ Y(x) -> Y(y) is the action of Y(y) at x.
     ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read."""
     source = pscat.source
     module = pscat.as_module()
     n = source.n_objects
-    ob_map = []
-    for z in range(n):
-        ob_map.append(pscat.index_of(yoneda_presheaf(source, z)))
-    phi = {}
-    for x in range(n):
-        for y in range(n):
-            comps = tuple(source.comp(w, x, y) for w in range(n))
-            phi[(x, y)] = pscat.mor_index(
-                module.act_ob(source.hom(x, y), ob_map[x]), ob_map[y], comps)
+    ob_map = [pscat.index_of(yoneda_presheaf(source, z)) for z in range(n)]
+    phi = {(x, y): _action_mor(pscat, module, ob_map, ob_map[y], x)
+           for x in range(n) for y in range(n)}
     return validate_mfun_et(source, module, ob_map, phi, name="Yoneda")
+
+
+def _action_mor(pscat, module, ys, iF, x):
+    """The action F(x) ⊗ Y(x) -> F of F, the iF-th presheaf, as a morphism
+    of the enumerated category, looked up by its components
+    F.action[(z, x)]; it is natural by the compatibility law."""
+    F = pscat.presheaves[iF]
+    comps = tuple(F.action[(z, x)] for z in range(pscat.source.n_objects))
+    return pscat.mor_index(module.act_ob(F.values[x], ys[x]), iF, comps)
 
 
 # --- Yoneda lemma and full faithfulness -------------------------------------
@@ -226,17 +230,6 @@ class BijectionReport:
         return not self.failures
 
 
-def _forward_map(pscat, F: Presheaf, x, alpha):
-    """eq. (F-action) ∘ (alpha ⊗ id): the presheaf map m ⊗ Y(x) -> F
-    induced by alpha: m -> F(x), given by its component tuple."""
-    source = pscat.source
-    base = source.base
-    return tuple(
-        base.compose(F.action[(z, x)],
-                     base.tensor_mor(alpha, base.id_of(source.hom(z, x))))
-        for z in range(source.n_objects))
-
-
 def _backward_map(pscat, x, m, components):
     """alpha~ = (m -> m ⊗ hom(x,x) -> F(x)), the proof's inverse."""
     source = pscat.source
@@ -245,28 +238,15 @@ def _backward_map(pscat, x, m, components):
                         base.tensor_mor(base.id_of(m), source.unit(x)))
 
 
-def _bijection(pscat, module, ys, iF, x, m):
-    """The Yoneda map alpha -> F-action ∘ (alpha ⊗ id) from Hom(m, F(x)) to
-    Hom(m ⊗ Y(x), F) for F the iF-th presheaf: (lhs, images, the component
-    tuples of the target hom-set, failure kind or None)."""
-    F = pscat.presheaves[iF]
-    lhs = list(pscat.source.base.hom(m, F.values[x]))
-    rhs_comps = {pscat.morphisms[k].components
-                 for k in pscat.mors_between(module.act_ob(m, ys[x]), iF)}
-    images = [_forward_map(pscat, F, x, a) for a in lhs]
-    kind = None
-    if len(set(images)) != len(images):
-        kind = "not-injective"
-    elif set(images) != rhs_comps:
-        kind = "not-onto"
-    return lhs, images, rhs_comps, kind
-
-
 def check_yoneda_lemma(pscat: PresheafCategory) -> BijectionReport:
     """For every presheaf F, object x and base object m, verify that
-    alpha -> (F-action ∘ (alpha ⊗ id)) bijects Hom(m, F(x)) with
-    Hom(m ⊗ Y(x), F), with the proof's explicit inverse, both round trips
-    included.  Failures falsify the implementation, not the lemma."""
+    alpha -> F-action ∘ (alpha ⊗ id) bijects Hom(m, F(x)) with
+    Hom(m ⊗ Y(x), F) (``tensored.represents``, with F's action as the
+    universal map) and that the proof's explicit inverse undoes it.  That
+    round trip reads the components of each image, so the module's action
+    is checked against the base's own arithmetic; the other round trip
+    follows, as a left inverse of a bijection is two-sided.  Failures
+    falsify the implementation, not the lemma."""
     source = pscat.source
     base = source.base
     checked = 0
@@ -275,23 +255,17 @@ def check_yoneda_lemma(pscat: PresheafCategory) -> BijectionReport:
     module = pscat.as_module()
     for iF, F in enumerate(pscat.presheaves):
         for x in range(source.n_objects):
+            u = _action_mor(pscat, module, ys, iF, x)
             for m in base.objects():
                 checked += 1
-                lhs, images, rhs_comps, kind = _bijection(pscat, module, ys, iF, x, m)
-                witness = {"F": f"F{iF}", "x": source.obj_name(x),
-                           "m": base.obj_name(m)}
+                kind, images = represents(module, ys[x], iF, F.values[x], u, m)
+                if kind is None and any(
+                        _backward_map(pscat, x, m, pscat.morphisms[k].components) != a
+                        for a, k in zip(base.hom(m, F.values[x]), images)):
+                    kind = "round-trip-forward"
                 if kind:
-                    failures.append({**witness, "kind": kind})
-                    continue
-                ok = all(_backward_map(pscat, x, m, img) == a
-                         for a, img in zip(lhs, images))
-                if not ok:
-                    failures.append({**witness, "kind": "round-trip-forward"})
-                    continue
-                ok = all(_forward_map(pscat, F, x, _backward_map(pscat, x, m, comps))
-                         == comps for comps in rhs_comps)
-                if not ok:
-                    failures.append({**witness, "kind": "round-trip-backward"})
+                    failures.append({"F": f"F{iF}", "x": source.obj_name(x),
+                                     "m": base.obj_name(m), "kind": kind})
     return BijectionReport(checked, tuple(failures))
 
 
@@ -310,35 +284,31 @@ class FullyFaithfulReport:
 
 def check_fully_faithful(pscat: PresheafCategory,
                          caps: Caps = DEFAULT_CAPS) -> FullyFaithfulReport:
-    """The Yoneda bijection with F = Y(y) for all (m, x, y), plus recovery
-    of hom(x, y) by the representing-object search on the enumerated
-    presheaf category.
+    """The Yoneda bijection with F = Y(y) for all (m, x, y), that is,
+    hom(x, y) represents m -> Hom(m ⊗ Y(x), Y(y)) with Y's structure map as
+    the universal map (``tensored.represents``), plus recovery of hom(x, y)
+    by the representing-object search on the enumerated presheaf category.
     ``caps`` is accepted because ``bench/workloads.py`` passes it; it is not read."""
-    from .tensored import hom_object_all
-
     source = pscat.source
     base = source.base
     checked = 0
     failures = []
+    hom_records = []
     ys = [pscat.index_of(yoneda_presheaf(source, x)) for x in range(source.n_objects)]
     module = pscat.as_module()
 
     for x in range(source.n_objects):
         for y in range(source.n_objects):
+            expected = source.hom(x, y)
+            u = _action_mor(pscat, module, ys, ys[y], x)
             for m in base.objects():
                 checked += 1
-                kind = _bijection(pscat, module, ys, ys[y], x, m)[3]
+                kind = represents(module, ys[x], ys[y], expected, u, m)[0]
                 if kind:
                     failures.append({"x": source.obj_name(x), "y": source.obj_name(y),
                                      "m": base.obj_name(m), "kind": kind})
-
-    hom_records = []
-    for x in range(source.n_objects):
-        for y in range(source.n_objects):
-            all_reps = hom_object_all(module, ys[x], ys[y])
-            hs = [h for h, _ in all_reps]
+            hs = [h for h, _ in hom_object_all(module, ys[x], ys[y])]
             found = hs[0] if hs else None
-            expected = source.hom(x, y)
             exact = found == expected
             present = expected in hs
             isomorphic = exact or (found is not None and _objects_isomorphic(

@@ -1,9 +1,12 @@
 """Left-tensored categories: strict unital modules over a monoidal base.
 
 Unitality is demanded on the nose, so the automatic-unit arguments of the
-functor layer are checkable as equalities.  ``hom_object_all`` searches
-the finite base for the objects representing m -> Hom(m ⊗ x, y); when the
-functor is not representable it returns no object rather than failing.
+functor layer are checkable as equalities.  ``represents`` is the one check
+that a map act(h, x) -> y is universal at a base object m: the Yoneda lemma,
+full faithfulness and ``hom_object_all`` all decide it there.
+``hom_object_all`` searches the finite base for the objects representing
+m -> Hom(m ⊗ x, y); when the functor is not representable it returns no
+object rather than failing.
 
 A left-tensored category is a category through its carrier
 (``bind_carrier``) plus its ``base`` and the action ``act_ob``/``act_mor``;
@@ -224,29 +227,34 @@ def check_action(base, carrier, aob, amor, laws, two_sided=False):
 
 def hom_object_all(mod, x, y):
     """All representing objects for m -> Hom(m⊗x, y), in declaration order,
-    with one universal map act(h, x) -> y each.
-
-    Universality means composition with the universal map bijects
-    Hom_base(m, h) with Hom_carrier(act(m, x), y) for every base object m.
-    """
+    with one universal map act(h, x) -> y each: the first u that
+    ``represents`` the functor at every base object m."""
     base = mod.base
     out = []
     for h in base.objects():
         for u in mod.hom(mod.act_ob(h, x), y):
-            if _is_universal(mod, x, y, h, u):
+            if all(represents(mod, x, y, h, u, m)[0] is None for m in base.objects()):
                 out.append((h, u))
                 break
     return out
 
 
-def _is_universal(mod, x, y, h, u):
-    base = mod.base
-    id_x = mod.id_of(x)
-    for m in base.objects():
-        lhs = list(base.hom(m, h))
-        images = [mod.compose(u, mod.act_mor(t, id_x)) for t in lhs]
-        target = list(mod.hom(mod.act_ob(m, x), y))
-        if len(set(images)) != len(images) or sorted(images) != sorted(target):
-            return False
-    return True
+def represents(mod, x, y, h, u, m):
+    """Whether composition with u: act(h, x) -> y, t -> u ∘ act(t, id_x),
+    bijects Hom_base(m, h) with Hom(act(m, x), y): the failure kind (None,
+    "not-injective" or "not-onto") and the images, in the order of
+    Hom_base(m, h).
 
+    Over a base that need not be closed, the enriched Yoneda lemma and full
+    faithfulness are this statement (Kelly 1982, ch. 1): F(x) represents
+    m -> Hom(m ⊗ Y(x), F) with F's action as u, and hom(x, y) the same at
+    F = Y(y) (``presheaf.check_yoneda_lemma``, ``check_fully_faithful``).
+    """
+    id_x = mod.id_of(x)
+    images = [mod.compose(u, mod.act_mor(t, id_x)) for t in mod.base.hom(m, h)]
+    distinct = set(images)
+    if len(distinct) != len(images):
+        return "not-injective", images
+    if distinct != set(mod.hom(mod.act_ob(m, x), y)):
+        return "not-onto", images
+    return None, images

@@ -5,8 +5,8 @@ The shipped instances are the spec files in ``demos/specs`` (README
 Each call parses and builds afresh, so it returns a new object equal to the
 one before.  The rest are small fixtures, the one-line readings of the
 presheaf and functor laws, the op-dictionary between presheaves and
-functors out of the opposite category, and a sampled oracle for the
-finite-set bases.
+functors out of the opposite category, the Yoneda map by the paper's
+formula, and a sampled oracle for the finite-set bases.
 """
 
 import itertools
@@ -153,6 +153,21 @@ def mfun_et_to_presheaf(g: MFunET, source: MCat) -> Presheaf:
     n = source.n_objects
     action = {(x, y): g.phi[(y, x)] for x in range(n) for y in range(n)}
     return validate_presheaf(source, g.ob_map, action)
+
+
+# --- the Yoneda map by the paper's formula ----------------------------------
+
+def forward_map(pscat, F: Presheaf, x, alpha):
+    """F-action ∘ (alpha ⊗ id): the component tuple of the presheaf map
+    m ⊗ Y(x) -> F induced by alpha: m -> F(x), computed in the base alone
+    (the oracle for the images of ``tensored.represents`` in a presheaf
+    category)."""
+    source = pscat.source
+    base = source.base
+    return tuple(
+        base.compose(F.action[(z, x)],
+                     base.tensor_mor(alpha, base.id_of(source.hom(z, x))))
+        for z in range(source.n_objects))
 
 
 # --- a sampled oracle for the finite-set bases ------------------------------

@@ -231,7 +231,7 @@ def test_criterion_6_validator_sharpness():
         if set(exc.witness) == {"w", "x", "y", "z"}:
             caught += 1
     # (d) module law: corrupted self-action of discrete S3
-    from tests.test_tensored import s3_self_module_tables
+    from test_tensored import s3_self_module_tables
 
     M, c, act_ob, act_mor = s3_self_module_tables()
     act_ob[(c.obj("s12"), c.obj("s13"))] = c.obj("e")

@@ -40,7 +40,7 @@ from enrichkit.fincat import (
 from enrichkit.finset import SkMap, SkSet
 from enrichkit.wcolim import FinSetModule, weighted_colimit
 from instances import boolean_chain_mcat, z2_two_object_mcat
-from tests.test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure
+from test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure
 
 SHAPES = [terminal_cat(), walking_arrow(), parallel_pair(), chain_cat(3),
           discrete_cat(["d0", "d1"]), loop_cat(2), loop_cat(3)]

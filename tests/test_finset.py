@@ -153,17 +153,19 @@ def test_coequalizer_universal_property_exhaustive():
 
 def test_product_distributes_over_coproduct_left_argument_identity():
     # under pair(i, j) = i*|Y| + j the canonical bijection
-    # (Y ⊔ Z) x X -> (Y x X) ⊔ (Z x X) is the identity on encodings
+    # (Y ⊔ Z) x X -> (Y x X) ⊔ (Z x X), which sends (in_k(j), i) to
+    # in_k((j, i)), is the identity on encodings
     for cy, cz, cx in itertools.product(range(4), repeat=3):
         y, z, x = SkSet(cy), SkSet(cz), SkSet(cx)
         yz = finset.coproduct([y, z])
-        off = cy * cx
-        for j in range(cy):
-            for i in range(cx):
-                assert pair(j, i, x) == pair(j, i, x)
-        for k in range(cz):
-            for i in range(cx):
-                assert pair(cy + k, i, x) == off + pair(k, i, x)
+        summands = [finset.product(y, x), finset.product(z, x)]
+        assert finset.product(yz, x) == finset.coproduct(summands)
+        for k, part in enumerate([y, z]):
+            into_yz = finset.injection([y, z], k).table
+            into_sum = finset.injection(summands, k).table
+            for j in range(part.card):
+                for i in range(cx):
+                    assert pair(into_yz[j], i, x) == into_sum[pair(j, i, x)]
 
 
 def test_product_distributes_over_coproduct_right_argument_bijection():

@@ -46,8 +46,8 @@ from enrichkit.wcolim import (
     hom_diagram,
     weighted_colimit,
 )
-from tests.test_fastpaths import brute_mfun_et_failure
-from tests.test_support import codiscrete, identity_components
+from test_fastpaths import brute_mfun_et_failure
+from test_support import codiscrete, identity_components
 
 NAMED = {"chain8": lambda: chain_cat(8), "chain3": lambda: chain_cat(3),
          "arrow": walking_arrow, "parallel": parallel_pair,

@@ -26,8 +26,8 @@ from enrichkit.monoidal import boolean_monoidal, opposite_monoidal
 from enrichkit.presheaf import enumerate_presheaves
 from enrichkit.tensored import base_as_module
 from instances import boolean_chain_mcat, s3_monoidal, z2_two_object_mcat
-from tests.test_fastpaths import shipped_categories
-from tests.test_reduced_checks import chain_mcat, ladder_rungs
+from test_fastpaths import shipped_categories
+from test_reduced_checks import chain_mcat, ladder_rungs
 
 
 # --- tables read back through the public interface ---------------------------

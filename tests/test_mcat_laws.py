@@ -49,7 +49,7 @@ from instances import (
     s3_two_object_mcat,
     z2_two_object_mcat,
 )
-from tests.test_cli import SPECS
+from test_cli import SPECS
 
 
 # --- the references ----------------------------------------------------------

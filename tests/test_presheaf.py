@@ -3,12 +3,13 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enrichkit import presheaf
 from enrichkit.corpus import CorpusSampler
 from enrichkit.enriched import mcat_from_fincat, opposite_mcat, validate_mcat
 from enrichkit.errors import InternalError
 from enrichkit.fincat import chain_cat, loop_cat, parallel_pair, walking_arrow
 from enrichkit.mfunctor import MFunET, mfun_square_laws, validate_mfun_et
-from enrichkit.monoidal import boolean_monoidal
+from enrichkit.monoidal import boolean_monoidal, loop_monoidal
 from enrichkit.presheaf import (
     Presheaf,
     check_fully_faithful,
@@ -21,18 +22,20 @@ from enrichkit.presheaf import (
     yoneda_presheaf,
 )
 from enrichkit.search import failures
-from enrichkit.tensored import base_as_module
+from enrichkit.tensored import base_as_module, hom_object_all, represents
 from instances import (
     boolean_chain_mcat,
     c3_one_object_mcat,
+    forward_map,
     mfun_et_laws,
     mfun_et_to_presheaf,
     presheaf_laws,
     presheaf_to_mfun_et,
     s3_two_object_mcat,
+    shipped_yoneda_corpus,
     z2_two_object_mcat,
 )
-from tests.test_support import codiscrete, presheaves
+from test_support import codiscrete, presheaves
 
 
 def bool_names(A, p):
@@ -166,7 +169,7 @@ def test_yoneda_lemma_chain_specific_counts():
     zero, one = B.carrier.obj("0"), B.carrier.obj("1")
     for m, expected in [(zero, 1), (one, 0)]:
         lhs = B.hom(m, F.values[1])
-        rhs = pscat.mors_between(module.act_ob(m, yb), 1)
+        rhs = pscat.fincat.hom(module.act_ob(m, yb), 1)
         assert len(lhs) == len(rhs) == expected
 
 
@@ -180,7 +183,7 @@ def test_yoneda_lemma_s3_singleton_or_empty():
             yx = pscat.index_of(yoneda_presheaf(A, x))
             for m in B.objects():
                 lhs = B.hom(m, F.values[x])
-                rhs = pscat.mors_between(module.act_ob(m, yx), iF)
+                rhs = pscat.fincat.hom(module.act_ob(m, yx), iF)
                 expected = 1 if m == F.values[x] else 0
                 assert len(lhs) == len(rhs) == expected
 
@@ -199,6 +202,90 @@ def test_fully_faithful_s3_cross_hom():
     rec = {(r[0], r[1]): r[2] for r in rep.hom_objects}
     assert rec[("x", "y")] == "s12"
     assert rec[("x", "x")] == "e"
+
+
+# --- the Yoneda verdict: the formula and the failure kinds -------------------
+
+def yoneda_cells(pscat):
+    """(F, x, m, represents' verdict) per cell of the lemma, with F's action
+    F(x) ⊗ Y(x) -> F, looked up by its components, as the universal map."""
+    A = pscat.source
+    module = pscat.as_module()
+    ys = [pscat.index_of(yoneda_presheaf(A, x)) for x in range(A.n_objects)]
+    for iF, F in enumerate(pscat.presheaves):
+        for x in range(A.n_objects):
+            comps = tuple(F.action[(z, x)] for z in range(A.n_objects))
+            u = pscat.mor_index(module.act_ob(F.values[x], ys[x]), iF, comps)
+            for m in A.base.objects():
+                yield F, x, m, represents(module, ys[x], iF, F.values[x], u, m)
+
+
+def test_represents_images_follow_the_formula():
+    # the images, composites in the module, have the components of
+    # F-action ∘ (alpha ⊗ id) computed in the base; the Z2 pair and seeded
+    # draws over cyclic bases have cells with several images
+    sampler = CorpusSampler(5)
+    sources = [A for _, A in shipped_yoneda_corpus()] + [z2_two_object_mcat()]
+    pscats = [enumerate_presheaves(A) for A in sources]
+    pscats += [sampler.random_mcat(sampler.random_monoidal())[1] for _ in range(8)]
+    widest = 0
+    for pscat in pscats:
+        for F, x, m, (kind, images) in yoneda_cells(pscat):
+            assert kind is None
+            assert [pscat.morphisms[k].components for k in images] == [
+                forward_map(pscat, F, x, a) for a in pscat.source.base.hom(m, F.values[x])]
+            widest = max(widest, len(images))
+    assert widest >= 2
+
+
+def z3_point():
+    """One object over Z3: hom = *, unit and composition r0."""
+    M = loop_monoidal(3)
+    r0 = M.carrier.mor("r0")
+    return validate_mcat(M, ["x"], {(0, 0): 0}, {0: r0}, {(0, 0, 0): r0}, name="z3-point")
+
+
+def test_yoneda_lemma_reads_the_module_action_on_morphisms():
+    # once r1 acts on id_Y(x) as r0 does, r0 and r1 in Hom(*, F(x)) have
+    # one image in Hom(* ⊗ Y(x), F)
+    pscat = enumerate_presheaves(z3_point())
+    assert check_yoneda_lemma(pscat).passed
+    module = pscat.as_module()
+    carrier = pscat.source.base.carrier
+    id_yx = module.id_of(pscat.index_of(yoneda_presheaf(pscat.source, 0)))
+    module._amor[(carrier.mor("r1"), id_yx)] = module.act_mor(carrier.mor("r0"), id_yx)
+    rep = check_yoneda_lemma(pscat)
+    assert rep.checked == len(pscat.presheaves) > 0
+    assert rep.failures == tuple({"F": f"F{i}", "x": "x", "m": "*", "kind": "not-injective"}
+                                 for i in range(len(pscat.presheaves)))
+
+
+def test_represents_names_a_cell_that_is_not_onto():
+    # on the Boolean chain a <= b, h = 0 with the one map 0 ⊗ Y(a) -> Y(b)
+    # misses the map 1 ⊗ Y(a) -> Y(b) at m = 1, as Hom(1, 0) is empty;
+    # hom(a, b) = 1 is the representing object found instead
+    pscat = enumerate_presheaves(boolean_chain_mcat())
+    module = pscat.as_module()
+    carrier = pscat.source.base.carrier
+    zero, one = carrier.obj("0"), carrier.obj("1")
+    ya, yb = (pscat.index_of(yoneda_presheaf(pscat.source, x)) for x in range(2))
+    [u] = module.hom(module.act_ob(zero, ya), yb)
+    assert represents(module, ya, yb, zero, u, zero) == (None, [u])
+    assert represents(module, ya, yb, zero, u, one) == ("not-onto", [])
+    assert [h for h, _ in hom_object_all(module, ya, yb)] == [one]
+
+
+def test_a_wrong_inverse_fails_the_forward_round_trip(monkeypatch):
+    # the proof's inverse followed by r1 undoes no image of the Yoneda map
+    pscat = enumerate_presheaves(z3_point())
+    base = pscat.source.base
+    r1 = base.carrier.mor("r1")
+    inverse = presheaf._backward_map
+    monkeypatch.setattr(presheaf, "_backward_map",
+                        lambda *args: base.compose(r1, inverse(*args)))
+    rep = check_yoneda_lemma(pscat)
+    assert rep.failures and len(rep.failures) == rep.checked
+    assert {f["kind"] for f in rep.failures} == {"round-trip-forward"}
 
 
 def test_op_dictionary_round_trips_bit_exactly():

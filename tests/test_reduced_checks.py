@@ -50,7 +50,7 @@ from instances import (
     s3_mult,
     z2_two_object_mcat,
 )
-from tests.test_fastpaths import codiscrete_pscat, shipped_categories
+from test_fastpaths import codiscrete_pscat, shipped_categories
 
 
 # --- instances ---------------------------------------------------------------

@@ -176,3 +176,27 @@ def test_every_module_level_definition_has_a_reader_outside_the_tests():
     # test-only fixtures and readings live in tests/instances.py; a name the
     # package, the demos and the benchmark never read is dead code there
     assert _unread_definitions() == set()
+
+
+def _imports_through_the_tests_package():
+    """file:line for every import of ``tests`` or ``tests.*`` in a test module."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    out = []
+    for path in sorted([*(repo / "tests").glob("*.py"), *(repo / "bench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            out += [f"{path.parent.name}/{path.name}:{node.lineno}" for name in names
+                    if name == "tests" or name.startswith("tests.")]
+    return out
+
+
+def test_no_test_module_imports_through_the_tests_package():
+    # the test directories are not packages, so a sibling test module is
+    # imported by its own name (as ``instances`` is); ``tests.X`` resolves
+    # only with the repository root on sys.path, which bare pytest lacks
+    assert _imports_through_the_tests_package() == []

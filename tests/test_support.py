@@ -40,8 +40,8 @@ from enrichkit.presheaf import (
 from enrichkit.tensored import base_as_module
 from enrichkit.wcolim import FinSetModule, hom_diagram, structure_presheaf_mor
 from instances import mfun_et_laws, presheaf_laws, presheaf_to_mfun_et, z2_two_object_mcat
-from tests.test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure, outcome
-from tests.test_reduced_checks import chain_mcat
+from test_fastpaths import brute_mfun_et_failure, brute_presheaf_failure, outcome
+from test_reduced_checks import chain_mcat
 
 
 # --- instances ---------------------------------------------------------------
